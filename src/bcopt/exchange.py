@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .graphs import greedy_matching
 from .matroids import min_cost_basis, restrict, truncate
 from .model import (
@@ -61,7 +61,8 @@ def exset_matching(
             break
         collected.update(matched)
         remaining.difference_update(matched)
-    assert len(collected) <= 18 * params.q_eff**2
+    if len(collected) > 18 * params.q_eff**2:
+        raise InvariantError(f"exchange set of {len(collected)} exceeds 18·q²")
     return frozenset(collected)
 
 

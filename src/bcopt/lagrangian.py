@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .graphs import connected_components_edges
 from .model import BCInstance, Solution, better
 from .oracles import (
@@ -107,7 +107,7 @@ def lagrangian_search(inst: BCInstance, max_probes: int = 64) -> LagrangianCerti
     )
     s_hi, _, cost_hi = probe(lam_cap)
     if cost_hi > inst.budget:
-        raise AssertionError("relaxation at the lambda cap must be feasible")
+        raise InvariantError("relaxation at the lambda cap must be feasible")
     lam_lo, s_lo = zero, s0
     lam_hi = lam_cap
 
@@ -236,7 +236,8 @@ def patch_matching(inst: BCInstance, cert: LagrangianCertificate) -> Solution:
                 if graph.is_matching(state) and inst.cost_of(state) <= inst.budget:
                     best = better(best, Solution.of(inst, state))
         break
-    assert best is not None and best.feasible
+    if not best.feasible:
+        raise InvariantError("patch_matching produced an infeasible set")
     return best
 
 
@@ -278,7 +279,8 @@ def patch_intersection(inst: BCInstance, cert: LagrangianCertificate) -> Solutio
         sol = Solution.of(inst, link)
         if sol.feasible:
             best = better(best, sol)
-    assert best is not None and best.feasible
+    if not best.feasible:
+        raise InvariantError("patch_intersection produced an infeasible set")
     return best
 
 

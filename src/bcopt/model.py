@@ -234,17 +234,14 @@ class _FastView:
     agree exactly with the Fraction originals.
     """
 
-    __slots__ = ("ids", "pos", "P", "C", "B", "sp", "sc", "kind", "vm", "m1", "m2")
+    __slots__ = ("ids", "P", "C", "B", "kind", "vm", "m1", "m2")
 
     def __init__(self, inst: BCInstance):
         self.ids = inst.ids
-        self.pos = {e: i for i, e in enumerate(inst.ids)}
         sp = math.lcm(*(e.profit.denominator for e in inst.elements), 1)
         sc = math.lcm(
             *(e.cost.denominator for e in inst.elements), inst.budget.denominator, 1
         )
-        self.sp = sp
-        self.sc = sc
         self.P = tuple(int(e.profit * sp) for e in inst.elements)
         self.C = tuple(int(e.cost * sc) for e in inst.elements)
         self.B = int(inst.budget * sc)
@@ -441,14 +438,24 @@ def residual(
         raise InputError(f"unknown element ids: {unknown}")
     if not inst.constraint_ok(pinned):
         raise InputError("pinned set violates the constraint")
-    spent = inst.cost_of(pinned)
-    if spent > inst.budget:
+    if inst.cost_of(pinned) > inst.budget:
         raise InputError("pinned set exceeds the budget")
-    pin_set = set(pinned)
-    keep = [e for e in low_profit_ids(inst, eps, alpha) if e not in pin_set]
+    return residual_over(inst, pinned, low_profit_ids(inst, eps, alpha))
+
+
+def residual_over(
+    inst: BCInstance, pinned: tuple[int, ...], pool: Iterable[int]
+) -> BCInstance:
+    """Residual of a solution F of inst over a ground pool: elements of
+    pool \\ F that survive the constraint thinned by F, budget β − c(F).
+
+    F must be a sorted solution of inst and is not checked again:
+    enumerated prefixes are feasible and within budget by construction,
+    and `residual` checks everyone else's."""
+    keep = [e for e in pool if e not in pinned]
     sub_constraint = inst.constraint.derive(pinned, keep)
-    kept_ids = set(sub_constraint.ground)
+    kept_ids = sub_constraint.ground
     elems = [e for e in inst.elements if e.id in kept_ids]
     return BCInstance(
-        elems, sub_constraint, inst.budget - spent, derived=True
+        elems, sub_constraint, inst.budget - inst.cost_of(pinned), derived=True
     )

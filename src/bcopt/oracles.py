@@ -5,17 +5,32 @@ search with pruning, exact weighted matching (blossom via networkx),
 weighted matroid intersection by augmenting paths, and the exchange-set /
 representative-set definitions turned into decision procedures.
 
-Deterministic tie-breaking throughout: enumeration visits candidate sets
-in ascending lexicographic order of their sorted id tuples, so "first
-strict improvement" yields the (profit desc, lex ids asc) canonical
-winner.
+Every subset search runs on one walker, ``_walk(pool, extend, root,
+limit, bound)``:
+
+- pool: strictly ascending ids; a repeated id raises InputError.
+- order: depth-first pre-order, which on sorted tuples is ascending
+  lexicographic order: () first, each set before its extensions,
+  (0, 2) before (1,).
+- extend(state, j): the caller's state for the visited set plus
+  pool[j], or None to prune pool[j] with its whole subtree (hereditary
+  and budget pruning).
+- bound(j, state): asked before extend; True cuts pool[j] and every
+  later sibling.  The walk is lazy, so a bound may read an incumbent
+  the caller updates while consuming it.
+- limit: the largest set size.
+
+Each visited set comes out as (prefix, state), prefix being a live list
+of the chosen ids: copy it to keep it.  A caller that keeps the first
+strict improvement breaks ties toward the lexicographically smallest id
+set, the canonical (profit desc, lex ids asc) winner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import networkx as nx
 
@@ -38,6 +53,43 @@ class OracleReport:
     stats: dict
 
 
+_State = TypeVar("_State")
+
+
+def _walk(
+    pool: Sequence[int],
+    extend: Callable[[_State, int], _State | None],
+    root: _State,
+    limit: int | None = None,
+    bound: Callable[[int, _State], bool] | None = None,
+) -> Iterator[tuple[list[int], _State]]:
+    """Pre-order subset walk over a sorted pool; see the module docstring."""
+    if any(a >= b for a, b in zip(pool, pool[1:])):
+        raise InputError("walk pool must be strictly ascending ids, without repeats")
+    n = len(pool)
+    if limit is None:
+        limit = n
+    chosen: list[int] = []
+
+    def visit(start: int, state: _State) -> Iterator[tuple[list[int], _State]]:
+        yield chosen, state
+        if len(chosen) >= limit:
+            return
+        for j in range(start, n):
+            if bound is not None and bound(j, state):
+                break
+            child = extend(state, j)
+            if child is not None:
+                chosen.append(pool[j])
+                yield from visit(j + 1, child)
+                chosen.pop()
+
+    return visit(0, root)
+
+
+_IntState = tuple[int, int, int]
+
+
 def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
     """Exact optimum by pruned exhaustive search.
 
@@ -58,54 +110,40 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + P[i]
 
-    best_p = 0
-    best_positions: tuple[int, ...] = ()
-    chosen: list[int] = []
-
+    # state: (mask, profit, cost); the mask is over vertices for BM and
+    # over elements for BI
     if fv.kind == "matching":
         vm = fv.vm
 
-        def rec_match(start: int, used: int, p: int, c: int) -> None:
-            nonlocal best_p, best_positions
-            for j in range(start, n):
-                if p + suffix[j] <= best_p:
-                    break
-                m = vm[j]
-                if used & m or c + C[j] > B:
-                    continue
-                chosen.append(j)
-                np = p + P[j]
-                if np > best_p:
-                    best_p = np
-                    best_positions = tuple(chosen)
-                rec_match(j + 1, used | m, np, c + C[j])
-                chosen.pop()
-
-        rec_match(0, 0, 0, 0)
+        def extend(state: _IntState, j: int) -> _IntState | None:
+            used, p, c = state
+            m = vm[j]
+            if used & m or c + C[j] > B:
+                return None
+            return used | m, p + P[j], c + C[j]
     else:
         m1, m2 = fv.m1, fv.m2
 
-        def rec_mi(start: int, mask: int, p: int, c: int) -> None:
-            nonlocal best_p, best_positions
-            for j in range(start, n):
-                if p + suffix[j] <= best_p:
-                    break
-                if c + C[j] > B:
-                    continue
-                cand = mask | (1 << ids[j])
-                if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
-                    continue
-                chosen.append(j)
-                np = p + P[j]
-                if np > best_p:
-                    best_p = np
-                    best_positions = tuple(chosen)
-                rec_mi(j + 1, cand, np, c + C[j])
-                chosen.pop()
+        def extend(state: _IntState, j: int) -> _IntState | None:
+            mask, p, c = state
+            if c + C[j] > B:
+                return None
+            cand = mask | (1 << ids[j])
+            if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
+                return None
+            return cand, p + P[j], c + C[j]
 
-        rec_mi(0, 0, 0, 0)
+    best_p = 0
+    best: tuple[int, ...] = ()
 
-    sol = Solution.of(inst, tuple(ids[j] for j in best_positions))
+    def bound(j: int, state: _IntState) -> bool:
+        return state[1] + suffix[j] <= best_p
+
+    for prefix, (_, p, _) in _walk(ids, extend, (0, 0, 0), bound=bound):
+        if p > best_p:
+            best_p = p
+            best = tuple(prefix)
+    sol = Solution.of(inst, best)
     inst._cache["brute_opt"] = sol
     return sol
 
@@ -118,34 +156,29 @@ def iter_solutions(
     """Yield every feasible-and-within-budget subset of the candidate
     ids (default: all elements), in ascending lexicographic order,
     starting with ().  Hereditary pruning keeps the walk proportional to
-    the number of feasible sets."""
-    pool = sorted(inst.id_set if candidates is None else candidates)
+    the number of feasible sets.  The candidates are a set: an unknown or
+    repeated id raises InputError."""
+    pool = sorted(inst.ids if candidates is None else candidates)
     for e in pool:
         if e not in inst.id_set:
             raise InputError(f"unknown element id: {e!r}")
-    limit = len(pool) if max_size is None else max_size
     cost = inst.cost
     budget = inst.budget
     constraint = inst.constraint
-    chosen: list[int] = []
 
-    def rec(start: int, mask: int, c: Fraction) -> Iterator[tuple[int, ...]]:
-        yield tuple(chosen)
-        if len(chosen) >= limit:
-            return
-        for j in range(start, len(pool)):
-            e = pool[j]
-            nc = c + cost[e]
-            if nc > budget:
-                continue
-            cand = mask | (1 << e)
-            if not constraint.feasible_mask(cand):
-                continue
-            chosen.append(e)
-            yield from rec(j + 1, cand, nc)
-            chosen.pop()
+    def extend(state: tuple[int, Fraction], j: int) -> tuple[int, Fraction] | None:
+        mask, c = state
+        e = pool[j]
+        nc = c + cost[e]
+        if nc > budget:
+            return None
+        cand = mask | (1 << e)
+        if not constraint.feasible_mask(cand):
+            return None
+        return cand, nc
 
-    return rec(0, 0, Fraction(0))
+    walk = _walk(pool, extend, (0, Fraction(0)), limit=max_size)
+    return (tuple(prefix) for prefix, _ in walk)
 
 
 def max_weight_matching(
@@ -299,26 +332,21 @@ def max_weight_common_independent(
         raise CapacityError(f"enumeration over {n} elements (bound {max_enum})")
     pool = [e for e in m1.ground_list if Fraction(weights[e]) > 0]
     w = {e: Fraction(weights[e]) for e in pool}
+
+    def extend(state: tuple[int, Fraction], j: int) -> tuple[int, Fraction] | None:
+        mask, acc = state
+        e = pool[j]
+        cand = mask | _bit(e)
+        if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
+            return None
+        return cand, acc + w[e]
+
     best_w = Fraction(0)
     best: tuple[int, ...] = ()
-    chosen: list[int] = []
-
-    def rec(start: int, mask: int, acc: Fraction) -> None:
-        nonlocal best_w, best
-        for j in range(start, len(pool)):
-            e = pool[j]
-            cand = mask | _bit(e)
-            if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
-                continue
-            chosen.append(e)
-            na = acc + w[e]
-            if na > best_w:
-                best_w = na
-                best = tuple(chosen)
-            rec(j + 1, cand, na)
-            chosen.pop()
-
-    rec(0, 0, Fraction(0))
+    for prefix, (_, acc) in _walk(pool, extend, (0, Fraction(0))):
+        if acc > best_w:
+            best_w = acc
+            best = tuple(prefix)
     return frozenset(best)
 
 
@@ -355,10 +383,7 @@ def check_exchange_set(
     deltas = 0
     probes = 0
 
-    ids = sorted(inst.id_set)
-    chosen: list[int] = []
-
-    def covered(delta_mask: int, delta: tuple[int, ...]) -> dict | None:
+    def covered(delta_mask: int, delta: list[int]) -> dict | None:
         nonlocal probes
         for a in delta:
             if a not in members or a in xset:
@@ -379,30 +404,17 @@ def check_exchange_set(
                 return {"delta": list(delta), "a": a}
         return None
 
+    def extend(mask: int, j: int) -> int | None:
+        cand = mask | _bit(inst.ids[j])
+        return cand if constraint.feasible_mask(cand) else None
+
     witness: dict | None = None
-
-    def rec(start: int, mask: int) -> bool:
-        nonlocal deltas, witness
+    for delta, mask in _walk(inst.ids, extend, 0, limit=q):
         deltas += 1
-        bad = covered(mask, tuple(chosen))
-        if bad is not None:
-            witness = bad
-            return False
-        if len(chosen) >= q:
-            return True
-        for j in range(start, len(ids)):
-            e = ids[j]
-            cand = mask | _bit(e)
-            if not constraint.feasible_mask(cand):
-                continue
-            chosen.append(e)
-            ok = rec(j + 1, cand)
-            chosen.pop()
-            if not ok:
-                return False
-        return True
-
-    ok = rec(0, 0)
+        witness = covered(mask, delta)
+        if witness is not None:
+            break
+    ok = witness is None
     return OracleReport(
         ok=ok,
         witness=witness,
@@ -439,29 +451,13 @@ def check_representative(
     if target <= 0:
         return OracleReport(ok=True, witness=None, stats=stats)
 
-    cost = inst.cost
-    profit = inst.profit
-    constraint = inst.constraint
     best = Fraction(0)
-
-    def rec(start: int, mask: int, p: Fraction, c: Fraction) -> bool:
-        nonlocal best
-        if p >= target:
-            best = max(best, p)
-            return True
-        for j in range(start, len(allowed)):
-            e = allowed[j]
-            nc = c + cost[e]
-            if nc > inst.budget:
-                continue
-            cand = mask | _bit(e)
-            if not constraint.feasible_mask(cand):
-                continue
-            if rec(j + 1, cand, p + profit[e], nc):
-                return True
+    ok = False
+    for prefix in iter_solutions(inst, candidates=allowed):
+        p = inst.profit_of(prefix)
         best = max(best, p)
-        return False
-
-    ok = rec(0, 0, Fraction(0), Fraction(0))
+        if p >= target:
+            ok = True
+            break
     stats["best_found"] = str(best)
     return OracleReport(ok=ok, witness=None if ok else dict(stats), stats=stats)

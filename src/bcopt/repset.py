@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .exchange import exset_matching, exset_matroid_intersection
 from .lagrangian import non_profitable_solve
 from .model import (
@@ -16,6 +16,7 @@ from .model import (
     Solution,
     better,
     profit_classes,
+    residual_over,
     scheme_params,
 )
 from .oracles import brute_force_opt, iter_solutions
@@ -39,26 +40,15 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     for pinned in iter_solutions(inst, max_size=4):
         if pinned:
             threshold = min(inst.profit[e] for e in pinned)
-            keep = [
-                e.id
-                for e in inst.elements
-                if e.id not in pinned and e.profit <= threshold
-            ]
-            sub_constraint = inst.constraint.derive(pinned, keep)
-            kept = set(sub_constraint.ground)
-            sub = BCInstance(
-                [e for e in inst.elements if e.id in kept],
-                sub_constraint,
-                inst.budget - inst.cost_of(pinned),
-                derived=True,
-            )
-            tail = non_profitable_solve(sub)
+            pool = [e.id for e in inst.elements if e.profit <= threshold]
+            tail = non_profitable_solve(residual_over(inst, pinned, pool))
             candidate = Solution.of(inst, set(pinned) | set(tail.ids))
         else:
             candidate = non_profitable_solve(inst)
             candidate = Solution.of(inst, candidate.ids)
         best = better(best, candidate)
-    assert best is not None and best.feasible
+    if best is None or not best.feasible:
+        raise InvariantError("two_approx found no feasible solution")
     result = (best, best.profit)
     inst._cache["two_approx"] = result
     return result

@@ -1,6 +1,11 @@
 """End-to-end scheme runs: enumeration of profitable prefixes from the
 representative set plus non-profitable completions."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -122,6 +127,36 @@ def test_guarantee_on_corpus_slice(corpus):
 
 def test_core_guarantee_slice(corpus):
     for _, _, inst in corpus[:8]:
-        sol = B.eptas_core(inst, Fraction(1, 16))
+        sol = B.eptas_run(inst, Fraction(1, 16)).solution
         assert sol.feasible
         assert sol.profit >= HALF * opt_profit(inst)
+
+
+def test_invariant_check_survives_optimize_flag():
+    # python -O strips assert statements; the feasibility check on every
+    # combined prefix + residual solution must still fire
+    src = pathlib.Path(B.__file__).resolve().parent.parent
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        import bcopt as B
+        import bcopt.driver as D
+
+        g = B.Graph(5, {0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)})
+        els = [B.Element(i, p, 1) for i, p in enumerate([10, 10, 1, 1])]
+        inst = B.BCInstance(els, B.MatchingConstraint(g), 2)
+        # a broken solver: every residual "solution" is the whole ground
+        # set, over budget and not a matching
+        D.non_profitable_solve = lambda sub, *a, **k: B.Solution.of(inst, inst.ids)
+        try:
+            D.eptas_run(inst, Fraction(1, 2))
+        except AssertionError as exc:
+            print(type(exc).__name__, __debug__)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "InvariantError False"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcopt as B
-from bcopt.errors import CapacityError
+from bcopt.errors import CapacityError, InputError
 from util import all_matchings, brute_max_weight, random_graph, random_matroid
 
 
@@ -44,6 +44,37 @@ def test_iter_solutions_order(fig1):
     assert (0, 2) in got and (0, 1) not in got
     small = list(B.iter_solutions(fig1, candidates=[0, 2], max_size=1))
     assert small == [(), (0,), (2,)]
+
+
+def test_iter_solutions_rejects_repeated_candidates(fig1):
+    # a repeated id used to be walked twice: (0, 0) with doubled cost
+    with pytest.raises(InputError):
+        B.iter_solutions(fig1, candidates=[0, 0])
+    with pytest.raises(InputError):
+        B.iter_solutions(fig1, candidates=[2, 0, 2])
+
+
+def test_walk_order_limit_and_bound():
+    from bcopt.oracles import _walk
+
+    def take_all(state, j):
+        return state + 1
+
+    got = [tuple(p) for p, _ in _walk([1, 4, 7], take_all, 0)]
+    assert got == sorted(got) and len(got) == 8 and got[0] == ()
+    # each set arrives with the state extend built for it
+    assert all(len(p) == s for p, s in _walk([1, 4, 7], take_all, 0))
+    assert [tuple(p) for p, _ in _walk([1, 4, 7], take_all, 0, limit=1)] == [
+        (), (1,), (4,), (7,)
+    ]
+    # a bound at position 1 cuts 4 and its later sibling 7, at every depth
+    cut = [tuple(p) for p, _ in _walk([1, 4, 7], take_all, 0, bound=lambda j, s: j == 1)]
+    assert cut == [(), (1,)]
+    # extend returning None prunes the element's whole subtree
+    skip4 = [tuple(p) for p, _ in _walk([1, 4, 7], lambda s, j: None if j == 1 else s, 0)]
+    assert skip4 == [(), (1,), (1, 7), (7,)]
+    with pytest.raises(InputError):
+        _walk([1, 1], take_all, 0)
 
 
 def test_iter_solutions_matches_brute_enumeration(corpus):

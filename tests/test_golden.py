@@ -1,7 +1,10 @@
 """Golden output guard: the exact stdout bytes of `bcopt solve`, `bench`,
-`exact` and `verify` on the shipped fixtures, pinned by sha256, plus an
-independent check of the exact oracle that every acceptance test leans
-on.  A refactor of the search code must leave all of these unchanged."""
+`exact`, `nps` and `verify` on the shipped fixtures, pinned by sha256,
+plus an independent check of the exact oracle that every acceptance test
+leans on.  `solve --strategy lagrangian` and `nps --strategy lagrangian`
+pin the Lagrangian path, which `--strategy auto` never reaches on these
+fixtures.  A refactor of the search code must leave all of these
+unchanged."""
 
 import hashlib
 import itertools
@@ -54,6 +57,12 @@ def _cases():
     for path in SOLVE_PATHS:
         for eps in ("1/2", "1/3"):
             out[f"solve {path} {eps}"] = (["solve", path, "--epsilon", eps], None)
+        out[f"solve lagrangian {path}"] = (
+            ["solve", path, "--epsilon", "1/2", "--strategy", "lagrangian"], None
+        )
+        out[f"nps lagrangian {path}"] = (
+            ["nps", path, "--strategy", "lagrangian"], None
+        )
     out["bench corpus"] = (
         ["bench", "fixtures/corpus", "--epsilons", "1/2,1/3"], None
     )
@@ -118,6 +127,132 @@ GOLDEN = {
     ),
     'exchange-set fixtures/fig1.json 1/2 []': (
         'e4a089d0dc761a261f1ad4fadc10935c5f9f4480e3625b1596f1d0acff275e8c'
+    ),
+    'nps lagrangian fixtures/corpus/bi_000.json': (
+        '75b7ec0a0774faa59f1d9a343f0116bfda0f2c0574625a73908a7c7170dc7447'
+    ),
+    'nps lagrangian fixtures/corpus/bi_001.json': (
+        '54727f5b5bd66d8f9700832b00f77d8b5643c38a626b0ead17aee2001975fbab'
+    ),
+    'nps lagrangian fixtures/corpus/bi_002.json': (
+        '5c2def259e3d0d6d2bbda0bc0d81b34b857e22e26ad8ed63eb7d4cc3f82a692c'
+    ),
+    'nps lagrangian fixtures/corpus/bi_003.json': (
+        '15a0d881e0902d2095f61ae10c9a57479592095544f83ec5bf9de211b7f6a195'
+    ),
+    'nps lagrangian fixtures/corpus/bi_004.json': (
+        '29fa04e70f3a84581483cfdb67fcd976f62174280ef5837674365a844baba4f5'
+    ),
+    'nps lagrangian fixtures/corpus/bi_005.json': (
+        'a9383d0ad4a847d2736d51b762e34458d94e6b5b7135004350fb64434801647e'
+    ),
+    'nps lagrangian fixtures/corpus/bi_006.json': (
+        'f9a733bc39dbaa612fa497c5bc0f4cae02de1af80b2ea178cf434b97e11f90be'
+    ),
+    'nps lagrangian fixtures/corpus/bi_007.json': (
+        'd956148da6b8eb8bc94eed87b991df54cfa1945ad65db25e06feb21c9d834f5d'
+    ),
+    'nps lagrangian fixtures/corpus/bi_008.json': (
+        'e4807c7a5fa252dc55603945a19dd99be80795011f07136b124d72f60d2f44c4'
+    ),
+    'nps lagrangian fixtures/corpus/bi_009.json': (
+        'ff80e81e87349b23a6fe7ef71f5c91127691159a51b4c7875096068ec4e0333a'
+    ),
+    'nps lagrangian fixtures/corpus/bi_010.json': (
+        '84aa8b82a27f18738ab48505f1400dfdc97e374aeb152440ddf6da5331442001'
+    ),
+    'nps lagrangian fixtures/corpus/bi_011.json': (
+        '56c9bc4441d944244a31ae53c7380f18300087846280e1b6e7c28d86160d5d40'
+    ),
+    'nps lagrangian fixtures/corpus/bi_012.json': (
+        '1fef2c48800c7183794f5c2aff17a1bc81e90b887544f4f269ead2c313a79328'
+    ),
+    'nps lagrangian fixtures/corpus/bi_013.json': (
+        '168bb60bea5f28f3b28b2e6528f0a30c45bedec2940f56d31960a36b446a0141'
+    ),
+    'nps lagrangian fixtures/corpus/bi_014.json': (
+        'c8e3b6343f656d5a1025dcebfbb8c04e82b6c2e82eba67ddcfb0dfb51604b117'
+    ),
+    'nps lagrangian fixtures/corpus/bi_015.json': (
+        '91342237b77025aff0d2b101752d5daa7baddd7c5a1c9a0013385ed081e25740'
+    ),
+    'nps lagrangian fixtures/corpus/bi_016.json': (
+        '5ee22a149306dcb29315aaf00e38d15cca1cc6548f37b2b2d648547738c7f0dd'
+    ),
+    'nps lagrangian fixtures/corpus/bi_017.json': (
+        '54a48e7df1ec79065a9a94370735b3673f4b552f213f84408df989706d2fe322'
+    ),
+    'nps lagrangian fixtures/corpus/bi_018.json': (
+        '4f082364277bfbfbdbf3c1d57c8073e5bf5926a4cf6d1945f79b3e459cef549b'
+    ),
+    'nps lagrangian fixtures/corpus/bi_019.json': (
+        'd5939c8739c9c7163338d80c9480fd82de6533a794c6106154271142895373ca'
+    ),
+    'nps lagrangian fixtures/corpus/bm_000.json': (
+        '138cb0185039c96106c9b59024cd9622c9e4a7f7276a293e7415d683b015efb5'
+    ),
+    'nps lagrangian fixtures/corpus/bm_001.json': (
+        'b386c9d667a5788cc9303c534dc044ee33715d7f0a38b5550275d80de71461a1'
+    ),
+    'nps lagrangian fixtures/corpus/bm_002.json': (
+        '0f55ce4a5a5097ff892b4c17b835b4418bfef0b3ff5253e2ebe6aa78ac574743'
+    ),
+    'nps lagrangian fixtures/corpus/bm_003.json': (
+        '4a938d005ccf8cfc317a2fe6095e3fd092b31977bf0b4b77500831b0d3b8f41f'
+    ),
+    'nps lagrangian fixtures/corpus/bm_004.json': (
+        '105bb563770e0026bea8d76c884bad9764d891755485efb44ac5afe754f72721'
+    ),
+    'nps lagrangian fixtures/corpus/bm_005.json': (
+        'db443182cabe5afe5a2fb561189132263097692fa5cb52098aa005491b35e401'
+    ),
+    'nps lagrangian fixtures/corpus/bm_006.json': (
+        '8c63291046aab2327153a98834dcd5bb8694ae76b64b8c79a8de4b1d96e7fa33'
+    ),
+    'nps lagrangian fixtures/corpus/bm_007.json': (
+        '656b94d4e3763b4e71a8efc677f5c94cc8bfbbcf72791d644791b6ad3da82751'
+    ),
+    'nps lagrangian fixtures/corpus/bm_008.json': (
+        '772d08a113be44f4fcf4da5ec9384d37fde1a1c4b9cb6e8e33dd10e82fe75ecd'
+    ),
+    'nps lagrangian fixtures/corpus/bm_009.json': (
+        '5b12c3411cfbb19e06c0305cbecfadf962721de225b124b71aea6f881d8df39b'
+    ),
+    'nps lagrangian fixtures/corpus/bm_010.json': (
+        '0e066c39e6c658b1f49022c40bd3959ff2d1b828c031e578a173115fe18e6d9d'
+    ),
+    'nps lagrangian fixtures/corpus/bm_011.json': (
+        '05ee97347ceb4dbd8c4a3aabb581f7f5f9c6804af4d64db4fae835bd10e566c4'
+    ),
+    'nps lagrangian fixtures/corpus/bm_012.json': (
+        'f94b2d5fbcb0207b13adb8d4515ae084b1c5fde1a9315fea754aba968c61583d'
+    ),
+    'nps lagrangian fixtures/corpus/bm_013.json': (
+        '2597fdd203f3da60718889177ad5609ffe5b192b03786f976d8a6a48db5e2a49'
+    ),
+    'nps lagrangian fixtures/corpus/bm_014.json': (
+        'e564a133e0328517704a1698ea64da78ae8a744078d438f37f9ea7a700d1f2fa'
+    ),
+    'nps lagrangian fixtures/corpus/bm_015.json': (
+        '6af73bef2c6565d4cc9275e07574c903c2250455e11bedecad868e7b1d3becd5'
+    ),
+    'nps lagrangian fixtures/corpus/bm_016.json': (
+        '90a4b7e91d31fcc1a60f18451214a44e7547d8e1f22dc3eeb07d4392984ca838'
+    ),
+    'nps lagrangian fixtures/corpus/bm_017.json': (
+        'f2d1f48edeeb49c58173fb091117a54517971847bb4e06607976ad5b4d916dc6'
+    ),
+    'nps lagrangian fixtures/corpus/bm_018.json': (
+        'cb80e6589c8f956a64455be655ab14016685c6f7ca211db82b70f586fba6e338'
+    ),
+    'nps lagrangian fixtures/corpus/bm_019.json': (
+        '04df73fb9f0051098b886b9d3240cabcf35280a7426d9e66cd33396e26c8d235'
+    ),
+    'nps lagrangian fixtures/fig1.json': (
+        'ead33f6db71e450229d6eb3681b62dbcbe794bb39bf9b42da8d956c58a12649f'
+    ),
+    'nps lagrangian fixtures/fig2_shape.json': (
+        '695918f8a925dfc2e26be82661ec008e50a89ca1102301d02320066eac9d3a03'
     ),
     'representative fixtures/corpus/bi_003.json 1/8 [0, 2, 3, 4, 6]': (
         '63a20d091711cce61157438e76ca6f523b6aa538b5d1ff1e7958e7cefa126f75'
@@ -391,6 +526,132 @@ GOLDEN = {
     ),
     'solve fixtures/fig2_shape.json 1/3': (
         'c87e8bbfbef340873e9bf34624fac917f27971a5f27fc60c6ee786ab1d48ad86'
+    ),
+    'solve lagrangian fixtures/corpus/bi_000.json': (
+        'c7a53ef31551dabe870450bde0c904be49339bb9195da6994afdc37953f11ab7'
+    ),
+    'solve lagrangian fixtures/corpus/bi_001.json': (
+        'f65de445cfba46059684b8148a03edce8777c91e72dbd55e9d7c5004ce16ca41'
+    ),
+    'solve lagrangian fixtures/corpus/bi_002.json': (
+        '3745894280ded7c362b806e4fba309cf99a186ad6050dbb4f9cfdb597f036f9a'
+    ),
+    'solve lagrangian fixtures/corpus/bi_003.json': (
+        '9c046b8b993082e8fcb77240f5f0c7fbb3eb0bbc65be77670cfa5ba3384ef46d'
+    ),
+    'solve lagrangian fixtures/corpus/bi_004.json': (
+        '21ed4dd0d35393368f40bdf4f050fa28a3466be9241c9b32f5a71cdb6dbfeb63'
+    ),
+    'solve lagrangian fixtures/corpus/bi_005.json': (
+        'b0b3bcc4256be4e1244095421b34b2aef122ff2f4d6a3ae09a664fa572e7254f'
+    ),
+    'solve lagrangian fixtures/corpus/bi_006.json': (
+        'e7f7bc4dac62d27a0d2ed66bb47cf70a0ee95ab44c4932d2574421ccb38c0b1d'
+    ),
+    'solve lagrangian fixtures/corpus/bi_007.json': (
+        'ef39500f159170c462ed1518b9eb5eef261f251e74c21150571835565e05a77e'
+    ),
+    'solve lagrangian fixtures/corpus/bi_008.json': (
+        '90c5fa336e98046c6eed7f375fa5913d18e3c01281a2eae1e56719a840825311'
+    ),
+    'solve lagrangian fixtures/corpus/bi_009.json': (
+        'e1787ec10c023f76bef13a0134b20992f59c76f69ef77cf20281a3b016773d19'
+    ),
+    'solve lagrangian fixtures/corpus/bi_010.json': (
+        'bf6a70aa19256ef3ea993521cc2fa2980324f6a53074c324e16c272e6d81ca5c'
+    ),
+    'solve lagrangian fixtures/corpus/bi_011.json': (
+        '5d0018df2d75dfd726052d5457b38c65c13272044e8216d7bf6c0fb1059c47a2'
+    ),
+    'solve lagrangian fixtures/corpus/bi_012.json': (
+        '8aff4d3e20cfc6157d4160f19e73ae0d378e55cea9fec95e5f37423d1d43d0b1'
+    ),
+    'solve lagrangian fixtures/corpus/bi_013.json': (
+        'cdb7b20c558e0bb82bf15f66f22bd07310ca46f1434219b2cca295b789989749'
+    ),
+    'solve lagrangian fixtures/corpus/bi_014.json': (
+        '17e33fc6aa284095fb6b8005c26e29402a42d4298a61ece843e3130b29c35a0a'
+    ),
+    'solve lagrangian fixtures/corpus/bi_015.json': (
+        '8a046c0c670f40e47f71591f949dc8375eff24eaf2911268cf5d59447033f6c8'
+    ),
+    'solve lagrangian fixtures/corpus/bi_016.json': (
+        'db841e055e4bc2319baaafbce590859cd8c1d61e86d7f88e1e76f4556cbeb729'
+    ),
+    'solve lagrangian fixtures/corpus/bi_017.json': (
+        'f91a9524f665412c71e0cdad22ab4190ea35b37c999dae76fea1ad0cd9a5ab27'
+    ),
+    'solve lagrangian fixtures/corpus/bi_018.json': (
+        'dce521769759590c7968697793294cef6e6f13d56786908a6a524547cc0a99fa'
+    ),
+    'solve lagrangian fixtures/corpus/bi_019.json': (
+        'dba8a5652afd8f0dfed0d252d18ade0ab268b7a7c785e542a598b198eeafd7ee'
+    ),
+    'solve lagrangian fixtures/corpus/bm_000.json': (
+        '80fff8a31fc526d46d1f6f84d3daea61f45b75f0d0cee2d5379df016b7c5fe85'
+    ),
+    'solve lagrangian fixtures/corpus/bm_001.json': (
+        '43f6ab17a149cbccfadbec4fe7cb4d9458502f94a70048b40d1c2a9e02fe6984'
+    ),
+    'solve lagrangian fixtures/corpus/bm_002.json': (
+        '9ecdc776ac12f1350bd3f824778c6c8f8740058977cf10e4c169e13c74e28ed6'
+    ),
+    'solve lagrangian fixtures/corpus/bm_003.json': (
+        '72b5ada04dae100be074ddb51791ea8e1843450e957ecab90e55a3bfee229205'
+    ),
+    'solve lagrangian fixtures/corpus/bm_004.json': (
+        'de6d8dbe319ab232b86d59d4fc92e27381cba9132518f21d82be51928b035165'
+    ),
+    'solve lagrangian fixtures/corpus/bm_005.json': (
+        '41b8a2d1e3db6c4e3b0b9c20b965aa7951f11a002018bb520a806eb6979ef4a8'
+    ),
+    'solve lagrangian fixtures/corpus/bm_006.json': (
+        '2d18820e2dbdd26fbb01a3512bbdb59e3fe5bf0a5511cd76b1cf3ba9b707f164'
+    ),
+    'solve lagrangian fixtures/corpus/bm_007.json': (
+        '56ab7578e2d1566f4adacfcee38f40ba0460322e9be2a7c4b625573f9447952d'
+    ),
+    'solve lagrangian fixtures/corpus/bm_008.json': (
+        '3e3cc8efd6f50332a23eef99a9b5ad637ba14e366fa13c727a581abebf80f680'
+    ),
+    'solve lagrangian fixtures/corpus/bm_009.json': (
+        'fd9d2e026a3257d05b40b3dbfc119dac0b146ee992cf1bff5d80d66f8b4c2316'
+    ),
+    'solve lagrangian fixtures/corpus/bm_010.json': (
+        '60ee373d27b13c0e4ec9645e1c3af845daa0a3445384b6ced335a82f57a3c662'
+    ),
+    'solve lagrangian fixtures/corpus/bm_011.json': (
+        'fb4a9e0075df2e1509a41411be7f7a372e5608b359aaea3c1a00bea44fb1473a'
+    ),
+    'solve lagrangian fixtures/corpus/bm_012.json': (
+        '04ec9a60ff4f73febf6ef4d2f6eb8fa718eeda6ebbd2655dc8a5b3ffbf8e24ae'
+    ),
+    'solve lagrangian fixtures/corpus/bm_013.json': (
+        '5c1cbc007355cc11eedad91c3928f364dc8689d05649a7df27ea778a4c4ac323'
+    ),
+    'solve lagrangian fixtures/corpus/bm_014.json': (
+        '1ec28d533cc98d11d25ed6200509862ff439244b32a022fd795bc66c56702a98'
+    ),
+    'solve lagrangian fixtures/corpus/bm_015.json': (
+        'f44401eb37db39ecb3e7b0a3bd2e399c402c5b63301fa76f12857756a619f9c5'
+    ),
+    'solve lagrangian fixtures/corpus/bm_016.json': (
+        'c097ed03ec294d3d09c4a54166b62b742dcf5503894c12aab8316926bb6251bf'
+    ),
+    'solve lagrangian fixtures/corpus/bm_017.json': (
+        '0adb1cf0874e7b490943407109568513287bd45a4844d188b3d4b201b9e9587e'
+    ),
+    'solve lagrangian fixtures/corpus/bm_018.json': (
+        'fc488b985d258c7393f76999923676069ca6b47010670f41fa48bf1675a9373b'
+    ),
+    'solve lagrangian fixtures/corpus/bm_019.json': (
+        '6a182660db12dc334cba332072ee15723942a3a0d6736436c53bbe88300f0f31'
+    ),
+    'solve lagrangian fixtures/fig1.json': (
+        '265c899330affd39c14299872d713d4c0d75aadfc07866c186915274d7e0b44a'
+    ),
+    'solve lagrangian fixtures/fig2_shape.json': (
+        '66068094cbb6e68a612c67369dcd7f5829f32631ac4fcfc459a8dc486ea58750'
     ),
 }
 

@@ -156,12 +156,16 @@ def _json_safe(obj: Any) -> Any:
     return obj
 
 
-def _emit(report: dict, path: str | None) -> None:
-    text = canonical_json(_json_safe(report))
+def _write(text: str, path: str | None) -> None:
+    """Print text, and also save it to path when one is given."""
     sys.stdout.write(text)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(report: dict, path: str | None) -> None:
+    _write(canonical_json(_json_safe(report)), path)
 
 
 def _solve_epsilon(raw: str) -> tuple[Fraction, Fraction]:
@@ -219,20 +223,19 @@ def _cmd_nps(args: argparse.Namespace) -> int:
     sol = non_profitable_solve(
         inst, strategy=args.strategy, max_exhaustive=args.max_exhaustive
     )
-    max_profit = max((e.profit for e in inst.elements), default=Fraction(0))
     report = {
         "command": "nps",
         "instance": args.instance,
         "strategy": args.strategy,
         "solution": solution_to_dict(sol),
-        "slack_bound": 2 * max_profit,
+        "slack_bound": 2 * inst.max_profit,
     }
     if inst.n <= args.max_exhaustive:
         opt = brute_force_opt(inst, max_n=args.max_exhaustive)
         slack = opt.profit - sol.profit
         report["opt"] = opt.profit
         report["slack"] = slack
-        report["contract_ok"] = slack <= 2 * max_profit
+        report["contract_ok"] = slack <= 2 * inst.max_profit
     _emit(report, args.report)
     return 0
 
@@ -399,11 +402,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 cost_range=(1, args.cost_max),
                 budget_fraction=parse_rational(args.budget_fraction),
             )
-    text = canonical_json(instance_to_dict(inst))
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(canonical_json(instance_to_dict(inst)), args.out)
     return 0
 
 
@@ -483,11 +482,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     writer.writerows(rows)
-    text = buf.getvalue()
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(buf.getvalue(), args.out)
     return 0
 
 

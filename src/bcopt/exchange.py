@@ -56,7 +56,7 @@ def exset_matching(
         if not remaining:
             break
         sub = graph.restrict(remaining)
-        matched = greedy_matching(sub, params.n_cap, inst.cost)
+        matched = greedy_matching(sub, params.n_cap, inst.int_cost)
         if not matched:
             break
         collected.update(matched)
@@ -126,7 +126,7 @@ def extend_chain(
         else:
             basis = sorted(
                 min_cost_basis(
-                    truncate(restrict(m2, universe), params.q_eff), inst.cost
+                    truncate(restrict(m2, universe), params.q_eff), inst.int_cost
                 )
             )
         out = set(basis)
@@ -197,7 +197,7 @@ def is_shift(
     """b is a shift to a for Δ: no costlier, and the swap stays in
     M_{≤q_eff}."""
     _, delta_set, _ = _validate_pair(inst, eps, alpha, r, delta, a, b, classing)
-    if inst.cost[b] > inst.cost[a]:
+    if inst.int_cost[b] > inst.int_cost[a]:
         return False
     swapped = (delta_set - {a}) | {b}
     return inst.constraint_ok(swapped)
@@ -218,7 +218,7 @@ def is_semi_shift(
     if inst.constraint.kind != "matroid_intersection":
         raise InputError("semi-shifts are defined for matroid intersection only")
     _, delta_set, _ = _validate_pair(inst, eps, alpha, r, delta, a, b, classing)
-    if inst.cost[b] > inst.cost[a]:
+    if inst.int_cost[b] > inst.int_cost[a]:
         return False
     swapped = (delta_set - {a}) | {b}
     m = inst.mask_of(swapped)
@@ -259,7 +259,7 @@ def is_chain(
     for e in chain_set:
         if e in delta_set or e not in member_set:
             return False
-        if inst.cost[e] > inst.cost[a]:
+        if inst.int_cost[e] > inst.int_cost[a]:
             return False
         m = inst.mask_of((delta_set - {a}) | {e})
         if not c.m2.independent_mask(m) or c.m1.independent_mask(m):

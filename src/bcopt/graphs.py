@@ -110,7 +110,7 @@ class Graph:
 def greedy_matching(
     graph: Graph,
     size_cap: int,
-    cost: Mapping[int, Fraction],
+    cost: Mapping[int, Fraction] | Sequence[int],
 ) -> list[int]:
     """Grow a matching by repeatedly taking the cheapest available edge.
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import InputError, InvariantError
 from .graphs import connected_components_edges
-from .model import BCInstance, Solution, better
+from .model import BCInstance, Solution, better, relaxation_weights
 from .oracles import (
     brute_force_opt,
     max_weight_common_independent,
@@ -55,22 +55,20 @@ def relaxation_solve(
     lam = Fraction(lam)
     if lam < 0:
         raise InputError("lambda must be nonnegative")
-    weights = {e.id: e.profit - lam * e.cost for e in inst.elements}
+    weights = relaxation_weights(inst, lam)
     c = inst.constraint
     if c.kind == "matching":
         chosen = set(max_weight_matching(c.graph, weights))
     else:
         chosen = set(max_weight_common_independent(c.m1, c.m2, weights))
-    free = [e for e in inst.elements if e.cost == 0 and e.id not in chosen]
-    free.sort(key=lambda e: (-e.profit, e.id))
+    P, C = inst.int_profit, inst.int_cost
     mask = inst.mask_of(chosen)
-    for e in free:
-        cand = mask | (1 << e.id)
-        if c.feasible_mask(cand):
-            chosen.add(e.id)
+    for e in sorted(inst.ids, key=lambda e: (-P[e], e)):
+        cand = mask | (1 << e)
+        if C[e] == 0 and e not in chosen and c.feasible_mask(cand):
+            chosen.add(e)
             mask = cand
-    value = sum((weights[e] for e in chosen), Fraction(0))
-    return frozenset(chosen), value
+    return frozenset(chosen), inst.profit_of(chosen) - lam * inst.cost_of(chosen)
 
 
 def lagrangian_search(inst: BCInstance, max_probes: int = 64) -> LagrangianCertificate:
@@ -100,11 +98,9 @@ def lagrangian_search(inst: BCInstance, max_probes: int = 64) -> LagrangianCerti
             value=v0,
             probes=probes,
         )
-    positive_costs = [e.cost for e in inst.elements if e.cost > 0]
     # c0 > budget ≥ 0 implies some cost is positive
-    lam_cap = (sum((e.profit for e in inst.elements), Fraction(0)) + 1) / min(
-        positive_costs
-    )
+    min_cost = min(e.cost for e in inst.elements if e.cost > 0)
+    lam_cap = (inst.profit_of(inst.ids) + 1) / min_cost
     s_hi, _, cost_hi = probe(lam_cap)
     if cost_hi > inst.budget:
         raise InvariantError("relaxation at the lambda cap must be feasible")
@@ -114,34 +110,23 @@ def lagrangian_search(inst: BCInstance, max_probes: int = 64) -> LagrangianCerti
     def line_value(s: frozenset[int], lam: Fraction) -> Fraction:
         return inst.profit_of(s) - lam * inst.cost_of(s)
 
-    exact: Fraction | None = None
     while probes < max_probes:
         p_lo, c_lo = inst.profit_of(s_lo), inst.cost_of(s_lo)
         p_hi, c_hi = inst.profit_of(s_hi), inst.cost_of(s_hi)
         cross = (p_lo - p_hi) / (c_lo - c_hi)
+        # bracket lines already meet at a probed λ, or the probe there
+        # ties the lower line: an exact breakpoint
         if cross == lam_lo or cross == lam_hi:
-            # bracket lines already meet at a probed λ: exact breakpoint
-            exact = cross
+            lam_lo = lam_hi = cross
             break
         s_mid, v_mid, cost_mid = probe(cross)
         if v_mid == line_value(s_lo, cross):
-            exact = cross
+            lam_lo = lam_hi = cross
             break
         if cost_mid <= inst.budget:
             lam_hi, s_hi = cross, s_mid
         else:
             lam_lo, s_lo = cross, s_mid
-
-    if exact is not None:
-        return LagrangianCertificate(
-            lam=exact,
-            lam_lo=exact,
-            lam_hi=exact,
-            s_minus=s_hi,
-            s_plus=s_lo,
-            value=line_value(s_hi, exact),
-            probes=probes,
-        )
     return LagrangianCertificate(
         lam=lam_hi,
         lam_lo=lam_lo,
@@ -179,17 +164,9 @@ def _orientations(graph, comp: list[int]) -> list[list[int]]:
             at = v if u == at else u
 
     if ends:  # path: one walk from each endpoint
-        out = []
-        for sv in ends:
-            out.append(walk(sv, adj[sv][0]))
-        return out
+        return [walk(sv, adj[sv][0]) for sv in ends]
     # cycle: every rotation in both directions
-    out = []
-    for e in sorted(comp):
-        u, v = graph.edge_ends[e]
-        out.append(walk(u, e))
-        out.append(walk(v, e))
-    return out
+    return [walk(end, e) for e in sorted(comp) for end in graph.edge_ends[e]]
 
 
 def patch_matching(inst: BCInstance, cert: LagrangianCertificate) -> Solution:
@@ -213,17 +190,18 @@ def patch_matching(inst: BCInstance, cert: LagrangianCertificate) -> Solution:
     diff = sorted(cert.s_minus ^ cert.s_plus)
     comps = connected_components_edges(graph, diff)
 
-    def delta_cost(comp: list[int]) -> Fraction:
-        gain = sum((inst.cost[e] for e in comp if e in cert.s_plus), Fraction(0))
-        drop = sum((inst.cost[e] for e in comp if e in cert.s_minus), Fraction(0))
-        return gain - drop
+    C, budget = inst.int_cost, inst.int_budget
+
+    def delta_cost(comp: list[int]) -> int:
+        gain = sum(C[e] for e in comp if e in cert.s_plus)
+        return gain - sum(C[e] for e in comp if e in cert.s_minus)
 
     comps.sort(key=lambda comp: (delta_cost(comp), comp[0]))
     current = set(cert.s_minus)
-    cur_cost = inst.cost_of(current)
+    cur_cost = sum(C[e] for e in current)
     for comp in comps:
         dc = delta_cost(comp)
-        if cur_cost + dc <= inst.budget:
+        if cur_cost + dc <= budget:
             current ^= set(comp)
             cur_cost += dc
             best = better(best, Solution.of(inst, current))
@@ -233,7 +211,7 @@ def patch_matching(inst: BCInstance, cert: LagrangianCertificate) -> Solution:
             state = set(current)
             for e in seq:
                 state ^= {e}
-                if graph.is_matching(state) and inst.cost_of(state) <= inst.budget:
+                if graph.is_matching(state) and sum(C[e] for e in state) <= budget:
                     best = better(best, Solution.of(inst, state))
         break
     if not best.feasible:
@@ -259,23 +237,20 @@ def patch_intersection(inst: BCInstance, cert: LagrangianCertificate) -> Solutio
     if plus_sol.feasible:
         best = better(best, plus_sol)
     c = inst.constraint
+    P, C = inst.int_profit, inst.int_cost
     chosen = set(cert.s_minus)
     mask = inst.mask_of(chosen)
-    cur_cost = inst.cost_of(chosen)
-    extras = sorted(
-        cert.s_plus - cert.s_minus, key=lambda e: (-inst.profit[e], e)
-    )
-    for e in extras:
-        if cur_cost + inst.cost[e] > inst.budget:
+    cur_cost = sum(C[e] for e in chosen)
+    for e in sorted(cert.s_plus - cert.s_minus, key=lambda e: (-P[e], e)):
+        if cur_cost + C[e] > inst.int_budget:
             continue
         cand = mask | (1 << e)
         if c.feasible_mask(cand):
             chosen.add(e)
             mask = cand
-            cur_cost += inst.cost[e]
+            cur_cost += C[e]
     best = better(best, Solution.of(inst, chosen))
-    weights = {e.id: e.profit - cert.lam * e.cost for e in inst.elements}
-    for link in mi_extreme_chain(c.m1, c.m2, weights):
+    for link in mi_extreme_chain(c.m1, c.m2, relaxation_weights(inst, cert.lam)):
         sol = Solution.of(inst, link)
         if sol.feasible:
             best = better(best, sol)

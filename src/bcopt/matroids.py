@@ -423,7 +423,9 @@ def truncate(matroid: Matroid, limit: int) -> Matroid:
     return _Truncation(matroid, limit)
 
 
-def min_cost_basis(matroid: Matroid, cost: Mapping[int, Fraction]) -> frozenset[int]:
+def min_cost_basis(
+    matroid: Matroid, cost: Mapping[int, Fraction] | Sequence[int]
+) -> frozenset[int]:
     """Greedy minimum-cost basis, scanning elements by (cost, id).
 
     For a valid matroid oracle this is an exact minimum-cost maximal

@@ -2,8 +2,13 @@
 matroid-intersection constraint, scheme parameters, profit classes, and
 residual instances.
 
-All arithmetic on profits, costs, budgets and class boundaries is exact
-(fractions.Fraction); nothing on the decision path touches floats.
+Arithmetic runs on integers scaled once per instance: a top-level
+instance scales every profit by one factor and every cost and its budget
+by another, and each residual shares those tables.  Only this module
+knows the factors; other modules compare the integer tables with each
+other and get `Fraction` values back from here.  `Fraction` is the API
+and report boundary (elements, budgets, solutions); nothing touches
+floats.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable
 
 from .errors import DegenerateAlpha, InputError
 from .graphs import Graph
@@ -128,49 +134,71 @@ Constraint = MatchingConstraint | MatroidIntersectionConstraint
 
 
 class BCInstance:
-    """A budgeted constrained instance (E, C, c, p, β).
+    """A budgeted constrained instance (E, C, c, p, β) with element ids
+    0..n-1.
 
-    Top-level instances require element ids 0..n-1; instances derived by
-    residual construction keep their parent's ids (pass derived=True).
+    The integer tables are indexed by element id: int_profit[e] and
+    int_cost[e] are p(e) and c(e) times the least common denominator of
+    the profits and of the costs and budget, and int_budget is β on the
+    cost scale.  A residual (built by `residual_over`, derived = True)
+    keeps its parent's ids, Element objects, tables and scales, so its
+    integers compare directly with its parent's.
     """
+
+    derived = False
 
     def __init__(
         self,
         elements: Iterable[Element],
         constraint: Constraint,
         budget: Fraction | int,
-        *,
-        derived: bool = False,
     ):
-        elems = sorted(elements, key=lambda e: e.id)
-        ids = [e.id for e in elems]
+        elements = tuple(
+            Element(e.id, _rat(e.profit), _rat(e.cost))
+            for e in sorted(elements, key=lambda e: e.id)
+        )
+        ids = [e.id for e in elements]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate element ids")
-        for e in elems:
+        for e in elements:
             if not isinstance(e.id, int) or e.id < 0:
                 raise InputError(f"bad element id: {e.id!r}")
-            if _rat(e.profit) < 0:
+            if e.profit < 0:
                 raise InputError(f"element {e.id}: negative profit")
-            if _rat(e.cost) < 0:
+            if e.cost < 0:
                 raise InputError(f"element {e.id}: negative cost")
-        if not derived and ids != list(range(len(ids))):
+        if ids != list(range(len(ids))):
             raise InputError("element ids must be 0..n-1")
         if frozenset(ids) != constraint.ground:
             raise InputError("constraint ground set must equal the element ids")
         budget = _rat(budget)
         if budget < 0:
             raise InputError("budget must be nonnegative")
-        self.elements: tuple[Element, ...] = tuple(
-            Element(e.id, _rat(e.profit), _rat(e.cost)) for e in elems
-        )
+        sp = math.lcm(1, *(e.profit.denominator for e in elements))
+        sc = math.lcm(budget.denominator, *(e.cost.denominator for e in elements))
+        self._sp, self._sc = sp, sc
+        self.int_profit = tuple(int(e.profit * sp) for e in elements)
+        self.int_cost = tuple(int(e.cost * sc) for e in elements)
+        self._assign(elements, constraint, int(budget * sc))
+
+    def _assign(
+        self, elements: tuple[Element, ...], constraint: Constraint, int_budget: int
+    ) -> None:
+        self.elements = elements
         self.constraint = constraint
-        self.budget = budget
-        self.ids: tuple[int, ...] = tuple(ids)
-        self.id_set: frozenset[int] = frozenset(ids)
-        self.profit: dict[int, Fraction] = {e.id: e.profit for e in self.elements}
-        self.cost: dict[int, Fraction] = {e.id: e.cost for e in self.elements}
-        self.derived = derived
+        self.int_budget = int_budget
+        self.budget = Fraction(int_budget, self._sc)
+        self.ids: tuple[int, ...] = tuple(e.id for e in elements)
+        self.id_set: frozenset[int] = frozenset(self.ids)
         self._cache: dict = {}
+
+    @cached_property
+    def profit(self) -> dict[int, Fraction]:
+        return {e.id: e.profit for e in self.elements}
+
+    @cached_property
+    def cost(self) -> dict[int, Fraction]:
+        return {e.id: e.cost for e in self.elements}
 
     @property
     def n(self) -> int:
@@ -178,15 +206,15 @@ class BCInstance:
 
     @property
     def max_profit(self) -> Fraction:
-        if not self.elements:
-            return Fraction(0)
-        return max(e.profit for e in self.elements)
+        return max((e.profit for e in self.elements), default=Fraction(0))
 
     def profit_of(self, ids: Iterable[int]) -> Fraction:
-        return sum((self.profit[e] for e in ids), Fraction(0))
+        """p(S) for element ids of this instance (not re-checked)."""
+        return Fraction(sum(self.int_profit[e] for e in ids), self._sp)
 
     def cost_of(self, ids: Iterable[int]) -> Fraction:
-        return sum((self.cost[e] for e in ids), Fraction(0))
+        """c(S) for element ids of this instance (not re-checked)."""
+        return Fraction(sum(self.int_cost[e] for e in ids), self._sc)
 
     def mask_of(self, ids: Iterable[int]) -> int:
         m = 0
@@ -201,14 +229,9 @@ class BCInstance:
 
     def is_solution(self, ids: Iterable[int]) -> bool:
         ids = tuple(ids)
-        return self.constraint_ok(ids) and self.cost_of(ids) <= self.budget
-
-    def fast(self) -> "_FastView":
-        view = self._cache.get("fast")
-        if view is None:
-            view = _FastView(self)
-            self._cache["fast"] = view
-        return view
+        return self.constraint_ok(ids) and (
+            sum(self.int_cost[e] for e in ids) <= self.int_budget
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BCInstance):
@@ -226,36 +249,6 @@ class BCInstance:
         )
 
 
-class _FastView:
-    """Integer-scaled mirror of an instance for hot loops.
-
-    Profits and costs are scaled by the lcm of their denominators (the
-    budget shares the cost scale), so comparisons on the scaled integers
-    agree exactly with the Fraction originals.
-    """
-
-    __slots__ = ("ids", "P", "C", "B", "kind", "vm", "m1", "m2")
-
-    def __init__(self, inst: BCInstance):
-        self.ids = inst.ids
-        sp = math.lcm(*(e.profit.denominator for e in inst.elements), 1)
-        sc = math.lcm(
-            *(e.cost.denominator for e in inst.elements), inst.budget.denominator, 1
-        )
-        self.P = tuple(int(e.profit * sp) for e in inst.elements)
-        self.C = tuple(int(e.cost * sc) for e in inst.elements)
-        self.B = int(inst.budget * sc)
-        self.kind = inst.constraint.kind
-        if inst.constraint.kind == "matching":
-            g = inst.constraint.graph
-            self.vm = tuple(g._vmask[e] for e in inst.ids)
-            self.m1 = self.m2 = None
-        else:
-            self.vm = None
-            self.m1 = inst.constraint.m1
-            self.m2 = inst.constraint.m2
-
-
 def feasible(inst: BCInstance, ids: Iterable[int]) -> bool:
     """True iff the set is in M(C) and fits the budget."""
     return inst.is_solution(ids)
@@ -271,11 +264,13 @@ class Solution:
     @staticmethod
     def of(inst: BCInstance, ids: Iterable[int]) -> "Solution":
         ids = tuple(sorted(set(ids)))
+        ok = inst.constraint_ok(ids)  # rejects unknown ids first
+        cost = sum(inst.int_cost[e] for e in ids)
         return Solution(
             ids,
             inst.profit_of(ids),
-            inst.cost_of(ids),
-            inst.is_solution(ids),
+            Fraction(cost, inst._sc),
+            ok and cost <= inst.int_budget,
         )
 
     def key(self) -> tuple:
@@ -335,13 +330,16 @@ def q_of(eps: Fraction) -> int:
 
 
 def class_count_of(eps: Fraction) -> int:
-    """⌊log_{1−ε}(ε/2)⌋ + 1 = max{k : (1−ε)^k ≥ ε/2} + 1, exactly."""
-    one_minus = 1 - eps
-    threshold = eps / 2
+    """⌊log_{1−ε}(ε/2)⌋ + 1 = max{k : (1−ε)^k ≥ ε/2} + 1, exactly.
+
+    For ε = a/b, (1−ε)^k = num/den with num = (b−a)^k and den = b^k, and
+    (1−ε)^(k+1) ≥ ε/2 reads 2·num·(b−a) ≥ a·den."""
+    a, b = eps.numerator, eps.denominator
+    num = den = 1
     k = 0
-    power = Fraction(1)
-    while power * one_minus >= threshold:
-        power *= one_minus
+    while 2 * num * (b - a) >= a * den:
+        num *= b - a
+        den *= b
         k += 1
     return k + 1
 
@@ -419,8 +417,9 @@ def low_profit_ids(
 ) -> tuple[int, ...]:
     """E(α): elements with p(e) ≤ 2εα."""
     eps = _check_epsilon(eps)
-    threshold = 2 * eps * _rat(alpha)
-    return tuple(e.id for e in inst.elements if e.profit <= threshold)
+    # integer profits: p ≤ t exactly when the scaled p ≤ ⌊t scaled⌋
+    cut = math.floor(2 * eps * _rat(alpha) * inst._sp)
+    return tuple(e for e in inst.ids if inst.int_profit[e] <= cut)
 
 
 def residual(
@@ -451,11 +450,29 @@ def residual_over(
 
     F must be a sorted solution of inst and is not checked again:
     enumerated prefixes are feasible and within budget by construction,
-    and `residual` checks everyone else's."""
+    and `residual` checks everyone else's.  The residual shares inst's
+    validated elements, integer tables and scales; nothing is validated
+    or rescaled again."""
     keep = [e for e in pool if e not in pinned]
     sub_constraint = inst.constraint.derive(pinned, keep)
     kept_ids = sub_constraint.ground
-    elems = [e for e in inst.elements if e.id in kept_ids]
-    return BCInstance(
-        elems, sub_constraint, inst.budget - inst.cost_of(pinned), derived=True
+    sub = object.__new__(BCInstance)
+    sub._sp, sub._sc = inst._sp, inst._sc
+    sub.int_profit, sub.int_cost = inst.int_profit, inst.int_cost
+    sub.derived = True
+    sub._assign(
+        tuple(e for e in inst.elements if e.id in kept_ids),
+        sub_constraint,
+        inst.int_budget - sum(inst.int_cost[e] for e in pinned),
     )
+    return sub
+
+
+def relaxation_weights(inst: BCInstance, lam: Fraction | int) -> dict[int, int]:
+    """Integer weights k·(p(e) − λ·c(e)) for every element, with one
+    positive k per instance and λ, so they order sets as p − λc does:
+    p·sc·λ.den − λ.num·c·sp on the scaled tables."""
+    ps = inst._sc * lam.denominator
+    cs = lam.numerator * inst._sp
+    P, C = inst.int_profit, inst.int_cost
+    return {e: P[e] * ps - C[e] * cs for e in inst.ids}

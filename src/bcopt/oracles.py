@@ -28,6 +28,8 @@ set, the canonical (profit desc, lex ids asc) winner.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -102,18 +104,17 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
     cached = inst._cache.get("brute_opt")
     if cached is not None:
         return cached
-    fv = inst.fast()
-    n = inst.n
-    P, C, B = fv.P, fv.C, fv.B
-    ids = fv.ids
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + P[i]
+    ids = inst.ids
+    P = [inst.int_profit[e] for e in ids]
+    C = [inst.int_cost[e] for e in ids]
+    B = inst.int_budget
+    suffix = list(itertools.accumulate(reversed(P), initial=0))[::-1]
 
     # state: (mask, profit, cost); the mask is over vertices for BM and
     # over elements for BI
-    if fv.kind == "matching":
-        vm = fv.vm
+    constraint = inst.constraint
+    if constraint.kind == "matching":
+        vm = [constraint.graph._vmask[e] for e in ids]
 
         def extend(state: _IntState, j: int) -> _IntState | None:
             used, p, c = state
@@ -122,7 +123,7 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
                 return None
             return used | m, p + P[j], c + C[j]
     else:
-        m1, m2 = fv.m1, fv.m2
+        m1, m2 = constraint.m1, constraint.m2
 
         def extend(state: _IntState, j: int) -> _IntState | None:
             mask, p, c = state
@@ -162,11 +163,11 @@ def iter_solutions(
     for e in pool:
         if e not in inst.id_set:
             raise InputError(f"unknown element id: {e!r}")
-    cost = inst.cost
-    budget = inst.budget
+    cost = inst.int_cost
+    budget = inst.int_budget
     constraint = inst.constraint
 
-    def extend(state: tuple[int, Fraction], j: int) -> tuple[int, Fraction] | None:
+    def extend(state: tuple[int, int], j: int) -> tuple[int, int] | None:
         mask, c = state
         e = pool[j]
         nc = c + cost[e]
@@ -177,34 +178,39 @@ def iter_solutions(
             return None
         return cand, nc
 
-    walk = _walk(pool, extend, (0, Fraction(0)), limit=max_size)
+    walk = _walk(pool, extend, (0, 0), limit=max_size)
     return (tuple(prefix) for prefix, _ in walk)
 
 
 def max_weight_matching(
-    graph: Graph, weights: Mapping[int, Fraction]
+    graph: Graph, weights: Mapping[int, int | Fraction]
 ) -> frozenset[int]:
-    """A maximum-weight matching (edge ids), exact over the rationals.
+    """A maximum-weight matching (edge ids) for int or Fraction weights.
 
-    Non-positive-weight edges never help a maximum and are dropped;
-    parallel edges collapse to their (max weight, min id) representative.
-    Deterministic for fixed input, but the tie-break among equally good
-    matchings is the blossom implementation's own.
+    Weights are scaled to integers by the lcm of their denominators
+    before the blossom runs, so networkx takes its exact integer path;
+    on non-integer weights it halves slacks in floating point and can
+    return a matching below the maximum.  Non-positive-weight edges
+    never help a maximum and are dropped; parallel edges collapse to
+    their (max weight, min id) representative.  Deterministic for fixed
+    input, but the tie-break among equally good matchings is the blossom
+    implementation's own.
     """
-    chosen_rep: dict[tuple[int, int], tuple[Fraction, int]] = {}
+    chosen_rep: dict[tuple[int, int], tuple[int | Fraction, int]] = {}
     for e in graph.edge_ids:
-        w = Fraction(weights[e])
+        w = weights[e]
         if w <= 0:
             continue
         pair = graph.edge_ends[e]
         cur = chosen_rep.get(pair)
         if cur is None or w > cur[0]:
             chosen_rep[pair] = (w, e)
+    scale = math.lcm(1, *(w.denominator for w, _ in chosen_rep.values()))
     g = nx.Graph()
     g.add_nodes_from(range(graph.num_vertices))
     for pair in sorted(chosen_rep):
         w, e = chosen_rep[pair]
-        g.add_edge(pair[0], pair[1], weight=w, eid=e)
+        g.add_edge(pair[0], pair[1], weight=int(w * scale), eid=e)
     mate = nx.max_weight_matching(g, maxcardinality=False)
     out = []
     for u, v in mate:
@@ -231,12 +237,11 @@ def mi_extreme_chain(
     """
     if m1.ground != m2.ground:
         raise InputError("the two matroids must share a ground set")
-    elems = [e for e in m1.ground_list if Fraction(weights[e]) > 0]
-    w = {e: Fraction(weights[e]) for e in elems}
+    elems = [e for e in m1.ground_list if weights[e] > 0]
     smask = 0
     chain = [frozenset()]
     while True:
-        step = _best_augmenting_path(m1, m2, w, elems, smask)
+        step = _best_augmenting_path(m1, m2, weights, elems, smask)
         if step is None:
             break
         length, _, seq = step
@@ -330,20 +335,19 @@ def max_weight_common_independent(
     n = len(m1.ground_list)
     if n > max_enum:
         raise CapacityError(f"enumeration over {n} elements (bound {max_enum})")
-    pool = [e for e in m1.ground_list if Fraction(weights[e]) > 0]
-    w = {e: Fraction(weights[e]) for e in pool}
+    pool = [e for e in m1.ground_list if weights[e] > 0]
 
-    def extend(state: tuple[int, Fraction], j: int) -> tuple[int, Fraction] | None:
+    def extend(state: tuple[int, int | Fraction], j: int) -> tuple | None:
         mask, acc = state
         e = pool[j]
         cand = mask | _bit(e)
         if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
             return None
-        return cand, acc + w[e]
+        return cand, acc + weights[e]
 
-    best_w = Fraction(0)
+    best_w = 0
     best: tuple[int, ...] = ()
-    for prefix, (_, acc) in _walk(pool, extend, (0, Fraction(0))):
+    for prefix, (_, acc) in _walk(pool, extend, (0, 0)):
         if acc > best_w:
             best_w = acc
             best = tuple(prefix)
@@ -377,9 +381,9 @@ def check_exchange_set(
     if not xset <= members:
         raise InputError("exchange set must be a subset of the profit class")
     q = params.q_eff
-    swap_pool = sorted(xset, key=lambda b: (inst.cost[b], b))
+    cost = inst.int_cost
+    swap_pool = sorted(xset, key=lambda b: (cost[b], b))
     constraint = inst.constraint
-    cost = inst.cost
     deltas = 0
     probes = 0
 
@@ -452,12 +456,10 @@ def check_representative(
         return OracleReport(ok=True, witness=None, stats=stats)
 
     best = Fraction(0)
-    ok = False
     for prefix in iter_solutions(inst, candidates=allowed):
-        p = inst.profit_of(prefix)
-        best = max(best, p)
-        if p >= target:
-            ok = True
+        best = max(best, inst.profit_of(prefix))
+        if best >= target:
             break
+    ok = best >= target
     stats["best_found"] = str(best)
     return OracleReport(ok=ok, witness=None if ok else dict(stats), stats=stats)

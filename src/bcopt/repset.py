@@ -39,8 +39,9 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     best: Solution | None = None
     for pinned in iter_solutions(inst, max_size=4):
         if pinned:
-            threshold = min(inst.profit[e] for e in pinned)
-            pool = [e.id for e in inst.elements if e.profit <= threshold]
+            P = inst.int_profit
+            threshold = min(P[e] for e in pinned)
+            pool = [e for e in inst.ids if P[e] <= threshold]
             tail = non_profitable_solve(residual_over(inst, pinned, pool))
             candidate = Solution.of(inst, set(pinned) | set(tail.ids))
         else:

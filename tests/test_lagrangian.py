@@ -1,9 +1,11 @@
 import itertools
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
 import bcopt as B
+from bcopt import cli
 from bcopt.errors import CapacityError, InputError
 from bcopt.lagrangian import LagrangianCertificate
 
@@ -206,3 +208,25 @@ def test_nps_contract_on_corpus_slice(corpus):
             assert B.feasible(inst, sol.ids)
             assert sol.profit >= bound
         assert B.non_profitable_solve(inst, strategy="exhaustive").profit == opt
+
+
+def test_blossom_receives_integer_weights(monkeypatch, capsys):
+    # networkx's blossom is exact only on int weights; a Fraction or float
+    # weight sends it down its floating-point path
+    import networkx
+
+    seen = []
+    real = networkx.max_weight_matching
+
+    def spy(g, *args, **kwargs):
+        seen.extend(w for _, _, w in g.edges(data="weight"))
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(networkx, "max_weight_matching", spy)
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    for path in sorted(pathlib.Path("fixtures/corpus").glob("bm_*.json")):
+        argv = ["solve", str(path), "--epsilon", "1/2", "--strategy", "lagrangian"]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert seen
+    assert all(type(w) is int for w in seen)

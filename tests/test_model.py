@@ -67,6 +67,9 @@ def test_class_count_exact_values():
     assert B.class_count_of(F(1, 3)) == 5
     assert B.class_count_of(F(1, 16)) == 54
     assert B.class_count_of(F(1, 24)) == 91
+    assert B.class_count_of(F(2, 5)) == 4
+    assert B.class_count_of(F(3, 7)) == 3
+    assert B.class_count_of(F(1, 64)) == 309
 
 
 def test_epsilon_range():
@@ -177,6 +180,26 @@ def test_residual_matching(fig1):
     assert sub.profit[2] == F(1)
     t = B.brute_force_opt(sub)
     assert B.feasible(fig1, set(t.ids) | {0})
+
+
+def test_residual_shares_the_parent_tables(fig1, monkeypatch):
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("a residual must not run BCInstance.__init__")
+
+    monkeypatch.setattr(B.BCInstance, "__init__", no_rebuild)
+    sub = B.residual(fig1, F(1, 2), F(11), [0])
+    assert sub.derived and not fig1.derived
+    assert sub.ids == (2,)
+    assert sub.elements[0] is fig1.elements[2]
+    assert sub.int_profit is fig1.int_profit and sub.int_cost is fig1.int_cost
+    assert sub.profit == {2: F(1)} and sub.cost == {2: fig1.cost[2]}
+    assert sub.budget == fig1.budget - fig1.cost[0]
+    assert B.Solution.of(sub, [2]).profit == F(1)
+
+
+def test_derived_keyword_is_gone(fig1):
+    with pytest.raises(TypeError):
+        B.BCInstance(fig1.elements, fig1.constraint, fig1.budget, derived=True)
 
 
 def test_residual_keeps_parent_ids(fig2):

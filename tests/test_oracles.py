@@ -99,6 +99,26 @@ def test_max_weight_matching_matches_enumeration(seed):
     assert sum((w[e] for e in got), F(0)) == brute_max_weight(all_matchings(g), w)
 
 
+def test_max_weight_matching_exact_on_near_equal_rational_weights():
+    # weights 10^17 + small/7 differ below float precision: networkx's
+    # non-integer path halves slacks in floating point and misses the
+    # maximum, so the weights must reach it as scaled integers
+    rng = random.Random(0)
+    ends = {}
+    w = {}
+    for u, v in itertools.combinations(range(8), 2):
+        if rng.random() < 0.5:
+            e = len(ends)
+            ends[e] = (u, v)
+            w[e] = 10**17 + rng.randint(0, 3) + F(rng.randint(1, 5), 7)
+    g = B.Graph(8, ends)
+    got = B.max_weight_matching(g, w)
+    assert g.is_matching(set(got))
+    best = brute_max_weight(all_matchings(g), w)
+    assert best == F(2800000000000000068, 7)
+    assert sum((w[e] for e in got), F(0)) == best
+
+
 def test_max_weight_matching_drops_nonpositive():
     g = B.Graph(4, {0: (0, 1), 1: (2, 3)})
     got = B.max_weight_matching(g, {0: F(0), 1: F(-2)})

@@ -62,10 +62,12 @@ def relaxation_solve(
     else:
         chosen = set(max_weight_common_independent(c.m1, c.m2, weights))
     P, C = inst.int_profit, inst.int_cost
+    free = [e for e in inst.ids if C[e] == 0 and e not in chosen]
+    free.sort(key=lambda e: (-P[e], e))
     mask = inst.mask_of(chosen)
-    for e in sorted(inst.ids, key=lambda e: (-P[e], e)):
+    for e in free:
         cand = mask | (1 << e)
-        if C[e] == 0 and e not in chosen and c.feasible_mask(cand):
+        if c.feasible_mask(cand):
             chosen.add(e)
             mask = cand
     return frozenset(chosen), inst.profit_of(chosen) - lam * inst.cost_of(chosen)

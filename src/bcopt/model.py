@@ -2,13 +2,11 @@
 matroid-intersection constraint, scheme parameters, profit classes, and
 residual instances.
 
-Arithmetic runs on integers scaled once per instance: a top-level
-instance scales every profit by one factor and every cost and its budget
-by another, and each residual shares those tables.  Only this module
-knows the factors; other modules compare the integer tables with each
-other and get `Fraction` values back from here.  `Fraction` is the API
-and report boundary (elements, budgets, solutions); nothing touches
-floats.
+Arithmetic runs on integers: a top-level instance scales its profits,
+and its costs with its budget, to integers once, and its residuals share
+those tables.  Only this module knows the scale factors; other modules
+compare the integers and get `Fraction` values back from here, the API
+and report boundary.  Nothing touches floats.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 from .errors import DegenerateAlpha, InputError
@@ -190,15 +187,9 @@ class BCInstance:
         self.budget = Fraction(int_budget, self._sc)
         self.ids: tuple[int, ...] = tuple(e.id for e in elements)
         self.id_set: frozenset[int] = frozenset(self.ids)
+        self.profit: dict[int, Fraction] = {e.id: e.profit for e in elements}
+        self.cost: dict[int, Fraction] = {e.id: e.cost for e in elements}
         self._cache: dict = {}
-
-    @cached_property
-    def profit(self) -> dict[int, Fraction]:
-        return {e.id: e.profit for e in self.elements}
-
-    @cached_property
-    def cost(self) -> dict[int, Fraction]:
-        return {e.id: e.cost for e in self.elements}
 
     @property
     def n(self) -> int:
@@ -208,13 +199,18 @@ class BCInstance:
     def max_profit(self) -> Fraction:
         return max((e.profit for e in self.elements), default=Fraction(0))
 
+    def _table_sum(self, table: tuple[int, ...], ids: tuple[int, ...]) -> int:
+        # the tables also hold the parent's other elements: check first
+        if not self.id_set.issuperset(ids):
+            unknown = [e for e in ids if e not in self.id_set]
+            raise InputError(f"unknown element ids: {unknown}")
+        return sum(table[e] for e in ids)
+
     def profit_of(self, ids: Iterable[int]) -> Fraction:
-        """p(S) for element ids of this instance (not re-checked)."""
-        return Fraction(sum(self.int_profit[e] for e in ids), self._sp)
+        return Fraction(self._table_sum(self.int_profit, tuple(ids)), self._sp)
 
     def cost_of(self, ids: Iterable[int]) -> Fraction:
-        """c(S) for element ids of this instance (not re-checked)."""
-        return Fraction(sum(self.int_cost[e] for e in ids), self._sc)
+        return Fraction(self._table_sum(self.int_cost, tuple(ids)), self._sc)
 
     def mask_of(self, ids: Iterable[int]) -> int:
         m = 0
@@ -230,7 +226,7 @@ class BCInstance:
     def is_solution(self, ids: Iterable[int]) -> bool:
         ids = tuple(ids)
         return self.constraint_ok(ids) and (
-            sum(self.int_cost[e] for e in ids) <= self.int_budget
+            self._table_sum(self.int_cost, ids) <= self.int_budget
         )
 
     def __eq__(self, other: object) -> bool:
@@ -264,13 +260,12 @@ class Solution:
     @staticmethod
     def of(inst: BCInstance, ids: Iterable[int]) -> "Solution":
         ids = tuple(sorted(set(ids)))
-        ok = inst.constraint_ok(ids)  # rejects unknown ids first
-        cost = sum(inst.int_cost[e] for e in ids)
+        cost = inst._table_sum(inst.int_cost, ids)
         return Solution(
             ids,
             inst.profit_of(ids),
             Fraction(cost, inst._sc),
-            ok and cost <= inst.int_budget,
+            inst.constraint_ok(ids) and cost <= inst.int_budget,
         )
 
     def key(self) -> tuple:

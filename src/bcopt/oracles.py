@@ -28,7 +28,6 @@ set, the canonical (profit desc, lex ids asc) winner.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,11 +103,14 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
     cached = inst._cache.get("brute_opt")
     if cached is not None:
         return cached
+    n = inst.n
     ids = inst.ids
     P = [inst.int_profit[e] for e in ids]
     C = [inst.int_cost[e] for e in ids]
     B = inst.int_budget
-    suffix = list(itertools.accumulate(reversed(P), initial=0))[::-1]
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + P[i]
 
     # state: (mask, profit, cost); the mask is over vertices for BM and
     # over elements for BI
@@ -199,6 +201,8 @@ def max_weight_matching(
     chosen_rep: dict[tuple[int, int], tuple[int | Fraction, int]] = {}
     for e in graph.edge_ids:
         w = weights[e]
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise InputError(f"edge {e}: weight {w!r} is not an exact rational")
         if w <= 0:
             continue
         pair = graph.edge_ends[e]
@@ -456,10 +460,12 @@ def check_representative(
         return OracleReport(ok=True, witness=None, stats=stats)
 
     best = Fraction(0)
+    ok = False
     for prefix in iter_solutions(inst, candidates=allowed):
-        best = max(best, inst.profit_of(prefix))
-        if best >= target:
+        p = inst.profit_of(prefix)
+        best = max(best, p)
+        if p >= target:
+            ok = True
             break
-    ok = best >= target
     stats["best_found"] = str(best)
     return OracleReport(ok=ok, witness=None if ok else dict(stats), stats=stats)

@@ -195,6 +195,12 @@ def test_residual_shares_the_parent_tables(fig1, monkeypatch):
     assert sub.profit == {2: F(1)} and sub.cost == {2: fig1.cost[2]}
     assert sub.budget == fig1.budget - fig1.cost[0]
     assert B.Solution.of(sub, [2]).profit == F(1)
+    # the shared tables hold element 0 too, but it is not the residual's
+    for ask in (sub.profit_of, sub.cost_of, sub.is_solution):
+        with pytest.raises(InputError):
+            ask([0])
+    with pytest.raises(InputError):
+        fig1.cost_of([9])
 
 
 def test_derived_keyword_is_gone(fig1):

@@ -119,6 +119,12 @@ def test_max_weight_matching_exact_on_near_equal_rational_weights():
     assert sum((w[e] for e in got), F(0)) == best
 
 
+def test_max_weight_matching_rejects_float_weights():
+    g = B.Graph(2, {0: (0, 1)})
+    with pytest.raises(InputError):
+        B.max_weight_matching(g, {0: 0.5})
+
+
 def test_max_weight_matching_drops_nonpositive():
     g = B.Graph(4, {0: (0, 1), 1: (2, 3)})
     got = B.max_weight_matching(g, {0: F(0), 1: F(-2)})

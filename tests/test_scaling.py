@@ -4,6 +4,7 @@ non-trivial scales: a common rescaling must rescale every answer exactly,
 and per-element denominators must keep the guarantees."""
 
 import itertools
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +12,13 @@ import pytest
 import bcopt as B
 
 EPS = F(1, 2)
+FIG1 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "fig1.json"
 
 
 def _instances():
     out = [(f"bm{i}", lambda i=i: B.corpus_bm(i)) for i in range(8)]
     out += [(f"bi{i}", lambda i=i: B.corpus_bi(i)) for i in range(8)]
-    out.append(("fig1", lambda: B.load_instance("fixtures/fig1.json")))
+    out.append(("fig1", lambda: B.load_instance(str(FIG1))))
     return out
 
 
@@ -44,11 +46,6 @@ def fraction_opt(inst):
             if cost <= inst.budget and inst.constraint_ok(ids):
                 best = max(best, sum((e.profit for e in combo), F(0)))
     return best
-
-
-@pytest.fixture(autouse=True)
-def _at_root(monkeypatch, request):
-    monkeypatch.chdir(request.config.rootpath)
 
 
 @pytest.mark.parametrize("name,make", INSTANCES, ids=[n for n, _ in INSTANCES])

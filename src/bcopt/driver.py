@@ -7,14 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError, InputError, InvariantError
-from .lagrangian import non_profitable_solve
-from .model import BCInstance, Solution, better, low_profit_ids, _rat
-# bound as `residual`: perfbench/tracer.py counts residual builds through
-# the name bcopt.driver.residual
-from .model import residual_over as residual
+from .errors import CapacityError, InputError
+from .model import BCInstance, Solution, low_profit_ids, _rat
 from .oracles import iter_solutions
-from .repset import RepSetResult, repset
+from .repset import RepSetResult, checked_key, repset, residual_tail
 
 
 @dataclass(frozen=True)
@@ -58,38 +54,35 @@ def eptas_run(
     eps = rep.params.epsilon
     alpha = rep.alpha
     cap = int(1 / eps)  # ⌊1/ε⌋ exact: Fraction floor division
-    best = Solution.of(inst, ())
+    best: tuple[int, tuple[int, ...]] = (0, ())  # the empty solution's key
     records: list[EnumerationRecord] = []
     enumerated = 0
     fallbacks = 0
     low = low_profit_ids(inst, eps, alpha)
     for pinned in iter_solutions(inst, candidates=sorted(rep.union), max_size=cap):
         enumerated += 1
-        sub = residual(inst, pinned, low)
         fallback = False
         try:
-            tail = non_profitable_solve(sub, strategy, max_exhaustive)
+            tail = residual_tail(inst, pinned, low, strategy, max_exhaustive)
         except CapacityError:
             if strategy != "exhaustive":
                 raise
-            tail = non_profitable_solve(sub, "lagrangian", max_exhaustive)
+            tail = residual_tail(inst, pinned, low, "lagrangian", max_exhaustive)
             fallback = True
             fallbacks += 1
-        combined = Solution.of(inst, set(pinned) | set(tail.ids))
-        if not combined.feasible:
-            raise InvariantError(f"prefix {list(pinned)} plus its tail is infeasible")
-        best = better(best, combined)
+        key = checked_key(inst, pinned, tail)
+        best = min(best, key)
         if collect:
             records.append(
                 EnumerationRecord(
                     pinned=tuple(pinned),
-                    tail=tuple(tail.ids),
-                    combined=combined,
+                    tail=tail,
+                    combined=Solution.of(inst, key[1]),
                     fallback=fallback,
                 )
             )
     return EptasRun(
-        solution=best,
+        solution=Solution.of(inst, best[1]),
         epsilon=eps,
         alpha=alpha,
         rep=rep,

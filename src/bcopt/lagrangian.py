@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import InputError, InvariantError
 from .graphs import connected_components_edges
-from .model import BCInstance, Solution, better, relaxation_weights
+from .model import BCInstance, Solution, _rat, better, relaxation_weights
 from .oracles import (
     brute_force_opt,
     max_weight_common_independent,
@@ -52,7 +52,7 @@ def relaxation_solve(
     (profit, then id) order whenever the constraint permits; they never
     lower the objective.
     """
-    lam = Fraction(lam)
+    lam = _rat(lam)
     if lam < 0:
         raise InputError("lambda must be nonnegative")
     weights = relaxation_weights(inst, lam)
@@ -261,6 +261,9 @@ def patch_intersection(inst: BCInstance, cert: LagrangianCertificate) -> Solutio
     return best
 
 
+STRATEGIES = ("auto", "exhaustive", "lagrangian")
+
+
 def non_profitable_solve(
     inst: BCInstance,
     strategy: str = "auto",
@@ -272,7 +275,7 @@ def non_profitable_solve(
     plus patching.  auto: exhaustive when the instance fits the gate,
     else lagrangian.
     """
-    if strategy not in ("auto", "exhaustive", "lagrangian"):
+    if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
     if inst.n == 0:
         return Solution.of(inst, ())

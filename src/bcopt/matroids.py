@@ -220,20 +220,15 @@ class LinearMatroid(Matroid):
         self.dim = dims.pop() if dims else 0
         cols: dict[int, tuple] = {}
         for e, col in columns.items():
+            for x in col:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise InputError(f"column {e}: entry {x!r} is not an exact rational")
             if self.field == "Q":
                 cols[e] = tuple(Fraction(x) for x in col)
             else:
-                p = self.field
-                vals = []
-                for x in col:
-                    if isinstance(x, Fraction):
-                        if x.denominator != 1:
-                            raise InputError("GF(p) entries must be integers")
-                        x = x.numerator
-                    if not isinstance(x, int):
-                        raise InputError(f"bad GF({p}) entry: {x!r}")
-                    vals.append(x % p)
-                cols[e] = tuple(vals)
+                if any(Fraction(x).denominator != 1 for x in col):
+                    raise InputError("GF(p) entries must be integers")
+                cols[e] = tuple(int(x) % self.field for x in col)
         self.columns = cols
 
     def _indep_mask(self, mask: int) -> bool:

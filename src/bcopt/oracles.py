@@ -42,6 +42,7 @@ from .model import (
     BCInstance,
     ProfitClassing,
     Solution,
+    _rat,
     profit_classes,
     scheme_params,
 )
@@ -91,37 +92,33 @@ def _walk(
 _IntState = tuple[int, int, int]
 
 
-def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
-    """Exact optimum by pruned exhaustive search.
+def exhaustive_search(
+    inst: BCInstance, pool: Sequence[int], base: int, budget: int
+) -> tuple[int, tuple[int, ...]]:
+    """Best (integer profit, sorted ids) subset T of a pool that extends
+    a pinned set: feasible together with it and of cost ≤ budget.
 
+    base is the pinned set's mask, over vertices for BM and over
+    elements for BI; budget is on the instance's integer cost scale.
     Prunes by remaining-profit bound, budget, and the hereditary property
     (supersets of an infeasible set are never visited).  Ties resolve to
     the lexicographically smallest id set.
     """
-    if inst.n > max_n:
-        raise CapacityError(f"brute force over {inst.n} elements (bound {max_n})")
-    cached = inst._cache.get("brute_opt")
-    if cached is not None:
-        return cached
-    n = inst.n
-    ids = inst.ids
-    P = [inst.int_profit[e] for e in ids]
-    C = [inst.int_cost[e] for e in ids]
-    B = inst.int_budget
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
+    P = [inst.int_profit[e] for e in pool]
+    C = [inst.int_cost[e] for e in pool]
+    suffix = [0] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + P[i]
 
-    # state: (mask, profit, cost); the mask is over vertices for BM and
-    # over elements for BI
+    # state: (mask, profit, cost)
     constraint = inst.constraint
     if constraint.kind == "matching":
-        vm = [constraint.graph._vmask[e] for e in ids]
+        vm = [constraint.graph._vmask[e] for e in pool]
 
         def extend(state: _IntState, j: int) -> _IntState | None:
             used, p, c = state
             m = vm[j]
-            if used & m or c + C[j] > B:
+            if used & m or c + C[j] > budget:
                 return None
             return used | m, p + P[j], c + C[j]
     else:
@@ -129,9 +126,9 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
 
         def extend(state: _IntState, j: int) -> _IntState | None:
             mask, p, c = state
-            if c + C[j] > B:
+            if c + C[j] > budget:
                 return None
-            cand = mask | (1 << ids[j])
+            cand = mask | (1 << pool[j])
             if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
                 return None
             return cand, p + P[j], c + C[j]
@@ -142,10 +139,22 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
     def bound(j: int, state: _IntState) -> bool:
         return state[1] + suffix[j] <= best_p
 
-    for prefix, (_, p, _) in _walk(ids, extend, (0, 0, 0), bound=bound):
+    for prefix, (_, p, _) in _walk(pool, extend, (base, 0, 0), bound=bound):
         if p > best_p:
             best_p = p
             best = tuple(prefix)
+    return best_p, best
+
+
+def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
+    """Exact optimum: `exhaustive_search` over every element, gated at
+    max_n elements and cached on the instance."""
+    if inst.n > max_n:
+        raise CapacityError(f"brute force over {inst.n} elements (bound {max_n})")
+    cached = inst._cache.get("brute_opt")
+    if cached is not None:
+        return cached
+    _, best = exhaustive_search(inst, inst.ids, 0, inst.int_budget)
     sol = Solution.of(inst, best)
     inst._cache["brute_opt"] = sol
     return sol
@@ -446,7 +455,7 @@ def check_representative(
     if not rset <= inst.id_set:
         raise InputError("representative set contains unknown element ids")
     opt = brute_force_opt(inst, max_n)
-    eps = Fraction(eps)
+    eps = _rat(eps)
     target = (1 - 4 * eps) * opt.profit
     heavy = {e.id for e in inst.elements if e.profit > eps * opt.profit}
     allowed = sorted((inst.id_set - heavy) | (rset & heavy))

@@ -1,25 +1,81 @@
-"""The 2-approximation that seeds α and the per-class assembly of the
-representative set."""
+"""The 2-approximation that seeds α, the per-class assembly of the
+representative set, and the residual-tail solve that the 2-approximation
+shares with the scheme's prefix enumeration."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import InputError, InvariantError
+from .errors import CapacityError, InputError, InvariantError
 from .exchange import exset_matching, exset_matroid_intersection
-from .lagrangian import non_profitable_solve
+from .lagrangian import STRATEGIES, non_profitable_solve
 from .model import (
     BCInstance,
     ProfitClassing,
     SchemeParams,
     Solution,
-    better,
     profit_classes,
     residual_over,
     scheme_params,
 )
-from .oracles import brute_force_opt, iter_solutions
+from .oracles import brute_force_opt, exhaustive_search, iter_solutions
+
+
+def residual_tail(
+    inst: BCInstance,
+    pinned: tuple[int, ...],
+    pool: Sequence[int],
+    strategy: str = "auto",
+    max_exhaustive: int = 24,
+) -> tuple[int, ...]:
+    """Sorted ids of `non_profitable_solve(residual_over(inst, pinned,
+    pool), strategy, max_exhaustive)`.
+
+    pinned is a sorted solution of inst and pool ascending ids of inst;
+    neither is checked, so callers check F ∪ tail (`checked_key`).  The
+    residual's size n is that of `residual_over`: pool \\ F, less the
+    edges touching F for BM; BI counts elements dependent with F.  An
+    exhaustive solve runs on inst's own tables and masks and builds no
+    residual; only the Lagrangian strategy does.
+    """
+    if strategy not in STRATEGIES:
+        raise InputError(f"unknown strategy {strategy!r}")
+    constraint = inst.constraint
+    if constraint.kind == "matching":
+        vm = constraint.graph._vmask
+        base = constraint.graph.vertex_mask(pinned)
+        keep = [e for e in pool if not vm[e] & base]
+    else:
+        base = inst.mask_of(pinned)
+        keep = [e for e in pool if not base >> e & 1]
+    n = len(keep)
+    if n == 0:
+        return ()
+    if strategy == "auto":
+        strategy = "exhaustive" if n <= max_exhaustive else "lagrangian"
+    if strategy == "lagrangian":
+        sub = residual_over(inst, pinned, pool)
+        return non_profitable_solve(sub, strategy, max_exhaustive).ids
+    if n > max_exhaustive:
+        raise CapacityError(f"brute force over {n} elements (bound {max_exhaustive})")
+    budget = inst.int_budget - sum(inst.int_cost[e] for e in pinned)
+    return exhaustive_search(inst, keep, base, budget)[1]
+
+
+def checked_key(
+    inst: BCInstance, pinned: tuple[int, ...], tail: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """Key (−p, ids) of F ∪ tail on inst's integer profit scale, the
+    order of `Solution.key`.  Raises InvariantError unless the union,
+    recomputed whole, is a solution of inst."""
+    ids = tuple(sorted(set(pinned) | set(tail)))
+    if not inst.constraint.feasible_mask(inst.mask_of(ids)) or (
+        sum(inst.int_cost[e] for e in ids) > inst.int_budget
+    ):
+        raise InvariantError(f"prefix {list(pinned)} plus its tail is infeasible")
+    return -sum(inst.int_profit[e] for e in ids), ids
 
 
 def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
@@ -36,21 +92,19 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     cached = inst._cache.get("two_approx")
     if cached is not None:
         return cached
-    best: Solution | None = None
+    P = inst.int_profit
+    best: tuple[int, tuple[int, ...]] | None = None
     for pinned in iter_solutions(inst, max_size=4):
         if pinned:
-            P = inst.int_profit
             threshold = min(P[e] for e in pinned)
             pool = [e for e in inst.ids if P[e] <= threshold]
-            tail = non_profitable_solve(residual_over(inst, pinned, pool))
-            candidate = Solution.of(inst, set(pinned) | set(tail.ids))
+            tail = residual_tail(inst, pinned, pool)
         else:
-            candidate = non_profitable_solve(inst)
-            candidate = Solution.of(inst, candidate.ids)
-        best = better(best, candidate)
-    if best is None or not best.feasible:
-        raise InvariantError("two_approx found no feasible solution")
-    result = (best, best.profit)
+            tail = non_profitable_solve(inst).ids
+        key = checked_key(inst, pinned, tail)
+        best = key if best is None else min(best, key)
+    sol = Solution.of(inst, best[1])
+    result = (sol, sol.profit)
     inst._cache["two_approx"] = result
     return result
 

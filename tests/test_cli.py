@@ -2,8 +2,11 @@
 reports."""
 
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -297,3 +300,23 @@ def test_invariant_violation_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, ["exact", FIG1])
     assert code == 4
     assert "invariant violation" in err
+
+
+@pytest.mark.parametrize(
+    "path", [FIG1, str(FIXTURES / "corpus" / "bm_007.json"),
+             str(FIXTURES / "corpus" / "bi_004.json")],
+    ids=["fig1", "bm_007", "bi_004"],
+)
+def test_solve_bytes_survive_optimize_flag(path):
+    # python -O strips asserts and sets __debug__ = False; the solve
+    # output must not notice
+    src = pathlib.Path(cli_mod.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["-m", "bcopt.cli", "solve", path, "--epsilon", "1/2"]
+    runs = [
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       env=env, check=True).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])["solution"]["feasible"] is True

@@ -132,24 +132,28 @@ def test_core_guarantee_slice(corpus):
         assert sol.profit >= HALF * opt_profit(inst)
 
 
-def test_invariant_check_survives_optimize_flag():
-    # python -O strips assert statements; the feasibility check on every
-    # combined prefix + residual solution must still fire
+def _broken_solver_under_optimize(module: str, call: str) -> str:
+    """Run `call` under python -O on a small BM instance after replacing
+    `module`'s residual-tail solver by a broken one; return stdout."""
     src = pathlib.Path(B.__file__).resolve().parent.parent
     script = textwrap.dedent(
-        """
+        f"""
+        import importlib
         from fractions import Fraction
         import bcopt as B
-        import bcopt.driver as D
 
-        g = B.Graph(5, {0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)})
+        # not `import ... as`: the package's `repset` function shadows
+        # the bcopt.repset module as an attribute
+        M = importlib.import_module("{module}")
+
+        g = B.Graph(5, {{0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)}})
         els = [B.Element(i, p, 1) for i, p in enumerate([10, 10, 1, 1])]
         inst = B.BCInstance(els, B.MatchingConstraint(g), 2)
         # a broken solver: every residual "solution" is the whole ground
         # set, over budget and not a matching
-        D.non_profitable_solve = lambda sub, *a, **k: B.Solution.of(inst, inst.ids)
+        M.residual_tail = lambda inst, pinned, pool, *a, **k: inst.ids
         try:
-            D.eptas_run(inst, Fraction(1, 2))
+            {call}
         except AssertionError as exc:
             print(type(exc).__name__, __debug__)
         """
@@ -159,4 +163,19 @@ def test_invariant_check_survives_optimize_flag():
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "InvariantError False"
+    return out.stdout.strip()
+
+
+def test_invariant_check_survives_optimize_flag():
+    # python -O strips assert statements; the feasibility check on every
+    # combined prefix + residual solution must still fire
+    out = _broken_solver_under_optimize(
+        "bcopt.driver", "M.eptas_run(inst, Fraction(1, 2))"
+    )
+    assert out == "InvariantError False"
+
+
+def test_two_approx_invariant_check_survives_optimize_flag():
+    # the same guard on every two_approx candidate
+    out = _broken_solver_under_optimize("bcopt.repset", "M.two_approx(inst)")
+    assert out == "InvariantError False"

@@ -53,6 +53,13 @@ def test_relaxation_solve_matches_brute():
         B.relaxation_solve(inst, F(-1))
 
 
+def test_relaxation_solve_rejects_inexact_lambda(fig1):
+    # a float λ ran as its binary expansion, and True as λ = 1
+    for bad in (0.1, True):
+        with pytest.raises(InputError):
+            B.relaxation_solve(fig1, bad)
+
+
 def test_relaxation_value_convex_and_non_increasing():
     for inst in (path_instance(), cycle_instance()):
         grid = [F(k, 4) for k in range(0, 33)]

@@ -59,6 +59,18 @@ def test_linear_rational_vs_prime_field():
         B.LinearMatroid(cols, "R")
 
 
+def test_linear_rejects_inexact_entries():
+    # 0.1 and 0.3 are not exactly a third of each other, so the two
+    # "parallel" columns would come out independent
+    for bad in (0.1, True, "1"):
+        with pytest.raises(InputError):
+            B.LinearMatroid({0: [bad, F(3, 10)], 1: [1, 3]}, "Q")
+        with pytest.raises(InputError):
+            B.LinearMatroid({0: [bad, 1], 1: [1, 3]}, 5)
+    exact = B.LinearMatroid({0: [F(1, 10), F(3, 10)], 1: [1, 3]}, "Q")
+    assert not independent(exact, [0, 1])
+
+
 def test_explicit_basics():
     m = B.ExplicitMatroid(range(3), [[0, 1], [2]])
     assert independent(m, [0])

@@ -210,6 +210,13 @@ def test_check_representative_fig1(fig1):
     assert rep2.witness is not None
 
 
+def test_check_representative_rejects_inexact_epsilon(fig1):
+    # a float ε made the target a binary fraction, 59447515081290545/2^53
+    for bad in (0.1, True):
+        with pytest.raises(InputError):
+            B.check_representative(fig1, bad, [0, 1])
+
+
 def test_check_representative_trivial_when_target_nonpositive(fig1):
     # at eps = 1/2 the (1-4eps) target is negative: anything passes
     rep = B.check_representative(fig1, F(1, 2), [])

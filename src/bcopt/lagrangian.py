@@ -64,12 +64,12 @@ def relaxation_solve(
     P, C = inst.int_profit, inst.int_cost
     free = [e for e in inst.ids if C[e] == 0 and e not in chosen]
     free.sort(key=lambda e: (-P[e], e))
-    mask = inst.mask_of(chosen)
+    state = c.state_of(chosen)
     for e in free:
-        cand = mask | (1 << e)
-        if c.feasible_mask(cand):
+        nxt = c.extend(state, e)
+        if nxt is not None:
             chosen.add(e)
-            mask = cand
+            state = nxt
     return frozenset(chosen), inst.profit_of(chosen) - lam * inst.cost_of(chosen)
 
 
@@ -241,15 +241,15 @@ def patch_intersection(inst: BCInstance, cert: LagrangianCertificate) -> Solutio
     c = inst.constraint
     P, C = inst.int_profit, inst.int_cost
     chosen = set(cert.s_minus)
-    mask = inst.mask_of(chosen)
+    state = c.state_of(chosen)
     cur_cost = sum(C[e] for e in chosen)
     for e in sorted(cert.s_plus - cert.s_minus, key=lambda e: (-P[e], e)):
         if cur_cost + C[e] > inst.int_budget:
             continue
-        cand = mask | (1 << e)
-        if c.feasible_mask(cand):
+        nxt = c.extend(state, e)
+        if nxt is not None:
             chosen.add(e)
-            mask = cand
+            state = nxt
             cur_cost += C[e]
     best = better(best, Solution.of(inst, chosen))
     for link in mi_extreme_chain(c.m1, c.m2, relaxation_weights(inst, cert.lam)):

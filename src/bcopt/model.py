@@ -38,42 +38,44 @@ class Element:
 
 class MatchingConstraint:
     """Feasible sets are matchings of the underlying graph; the ground
-    set is the graph's edge ids."""
+    set is the graph's edge ids.  A walk state is the mask of the
+    vertices the set covers."""
 
     kind = "matching"
 
     def __init__(self, graph: Graph):
         self.graph = graph
+        self._vm = graph._vmask
         self.ground_list = graph.edge_ids
         self.ground = frozenset(self.ground_list)
-        self.ground_mask = 0
-        for e in self.ground_list:
-            self.ground_mask |= 1 << e
+        self.ground_mask = sum(1 << e for e in self.ground_list)
 
     def feasible_mask(self, mask: int) -> bool:
         if mask & ~self.ground_mask:
             raise InputError("mask has bits outside the ground set")
-        used = 0
-        vm = self.graph._vmask
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = vm[low.bit_length() - 1]
-            if used & m:
+        state = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            state = self.extend(state, low.bit_length() - 1)
+            if state is None:
                 return False
-            used |= m
         return True
 
-    def restrict(self, keep: Iterable[int]) -> "MatchingConstraint":
-        return MatchingConstraint(self.graph.restrict(keep))
+    def state_of(self, pinned: Iterable[int]) -> int:
+        return self.graph.vertex_mask(pinned)
+
+    def extend(self, state: int, e: int) -> int | None:
+        m = self._vm[e]
+        return None if state & m else state | m
+
+    def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
+        """Pool edges that touch no covered vertex."""
+        vm = self._vm
+        return [e for e in pool if not vm[e] & state]
 
     def derive(self, pinned: Iterable[int], keep: Iterable[int]) -> "MatchingConstraint":
-        """Constraint for a residual instance: edges sharing a vertex
-        with the pinned matching disappear, then restrict to keep."""
-        g = self.graph.without_vertices_of(pinned)
-        kept = [e for e in keep if e in g.edge_ends]
-        return MatchingConstraint(g.restrict(kept))
+        return MatchingConstraint(self.graph.restrict(keep))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchingConstraint):
@@ -86,7 +88,7 @@ class MatchingConstraint:
 
 class MatroidIntersectionConstraint:
     """Feasible sets are common independent sets of two matroids over
-    the same ground set."""
+    the same ground set.  A walk state is the set's element mask."""
 
     kind = "matroid_intersection"
 
@@ -102,11 +104,19 @@ class MatroidIntersectionConstraint:
     def feasible_mask(self, mask: int) -> bool:
         return self.m1.independent_mask(mask) and self.m2.independent_mask(mask)
 
-    def restrict(self, keep: Iterable[int]) -> "MatroidIntersectionConstraint":
-        keep = tuple(keep)
-        return MatroidIntersectionConstraint(
-            matroid_restrict(self.m1, keep), matroid_restrict(self.m2, keep)
-        )
+    def state_of(self, pinned: Iterable[int]) -> int:
+        return sum(1 << e for e in set(pinned))
+
+    def extend(self, state: int, e: int) -> int | None:
+        cand = state | (1 << e)
+        if self.m1.independent_mask(cand) and self.m2.independent_mask(cand):
+            return cand
+        return None
+
+    def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
+        """Pool elements outside the set.  Elements dependent with it
+        stay, as thinning keeps them; `extend` refuses them."""
+        return [e for e in pool if not state >> e & 1]
 
     def derive(
         self, pinned: Iterable[int], keep: Iterable[int]
@@ -127,6 +137,11 @@ class MatroidIntersectionConstraint:
         return f"MatroidIntersectionConstraint({self.m1!r}, {self.m2!r})"
 
 
+# Every walk and residual steps a constraint the same way.  state_of(F)
+# is the walk state of a feasible set F, extend(state, e) the state of
+# F + e or None when F + e is infeasible, survivors(state, pool) the
+# pool elements a residual of F keeps, and derive(F, survivors) the
+# residual's own constraint.
 Constraint = MatchingConstraint | MatroidIntersectionConstraint
 
 
@@ -448,8 +463,8 @@ def residual_over(
     and `residual` checks everyone else's.  The residual shares inst's
     validated elements, integer tables and scales; nothing is validated
     or rescaled again."""
-    keep = [e for e in pool if e not in pinned]
-    sub_constraint = inst.constraint.derive(pinned, keep)
+    c = inst.constraint
+    sub_constraint = c.derive(pinned, c.survivors(c.state_of(pinned), pool))
     kept_ids = sub_constraint.ground
     sub = object.__new__(BCInstance)
     sub._sp, sub._sc = inst._sp, inst._sc

@@ -98,40 +98,27 @@ def exhaustive_search(
     """Best (integer profit, sorted ids) subset T of a pool that extends
     a pinned set: feasible together with it and of cost ≤ budget.
 
-    base is the pinned set's mask, over vertices for BM and over
-    elements for BI; budget is on the instance's integer cost scale.
-    Prunes by remaining-profit bound, budget, and the hereditary property
-    (supersets of an infeasible set are never visited).  Ties resolve to
-    the lexicographically smallest id set.
+    base is the pinned set's walk state (`constraint.state_of`); budget
+    is on the instance's integer cost scale.  Prunes by remaining-profit
+    bound, budget, and the hereditary property (supersets of an
+    infeasible set are never visited).  Ties resolve to the
+    lexicographically smallest id set.
     """
     P = [inst.int_profit[e] for e in pool]
     C = [inst.int_cost[e] for e in pool]
     suffix = [0] * (len(pool) + 1)
     for i in range(len(pool) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + P[i]
+    step = inst.constraint.extend
 
-    # state: (mask, profit, cost)
-    constraint = inst.constraint
-    if constraint.kind == "matching":
-        vm = [constraint.graph._vmask[e] for e in pool]
-
-        def extend(state: _IntState, j: int) -> _IntState | None:
-            used, p, c = state
-            m = vm[j]
-            if used & m or c + C[j] > budget:
-                return None
-            return used | m, p + P[j], c + C[j]
-    else:
-        m1, m2 = constraint.m1, constraint.m2
-
-        def extend(state: _IntState, j: int) -> _IntState | None:
-            mask, p, c = state
-            if c + C[j] > budget:
-                return None
-            cand = mask | (1 << pool[j])
-            if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
-                return None
-            return cand, p + P[j], c + C[j]
+    # state: (constraint state, profit, cost)
+    def extend(state: _IntState, j: int) -> _IntState | None:
+        s, p, c = state
+        c += C[j]
+        if c > budget:
+            return None
+        s = step(s, pool[j])
+        return None if s is None else (s, p + P[j], c)
 
     best_p = 0
     best: tuple[int, ...] = ()
@@ -154,7 +141,8 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
     cached = inst._cache.get("brute_opt")
     if cached is not None:
         return cached
-    _, best = exhaustive_search(inst, inst.ids, 0, inst.int_budget)
+    base = inst.constraint.state_of(())
+    _, best = exhaustive_search(inst, inst.ids, base, inst.int_budget)
     sol = Solution.of(inst, best)
     inst._cache["brute_opt"] = sol
     return sol
@@ -177,19 +165,18 @@ def iter_solutions(
     cost = inst.int_cost
     budget = inst.int_budget
     constraint = inst.constraint
+    step = constraint.extend
 
     def extend(state: tuple[int, int], j: int) -> tuple[int, int] | None:
-        mask, c = state
+        s, c = state
         e = pool[j]
-        nc = c + cost[e]
-        if nc > budget:
+        c += cost[e]
+        if c > budget:
             return None
-        cand = mask | (1 << e)
-        if not constraint.feasible_mask(cand):
-            return None
-        return cand, nc
+        s = step(s, e)
+        return None if s is None else (s, c)
 
-    walk = _walk(pool, extend, (0, 0), limit=max_size)
+    walk = _walk(pool, extend, (constraint.state_of(()), 0), limit=max_size)
     return (tuple(prefix) for prefix, _ in walk)
 
 

@@ -35,21 +35,16 @@ def residual_tail(
 
     pinned is a sorted solution of inst and pool ascending ids of inst;
     neither is checked, so callers check F ∪ tail (`checked_key`).  The
-    residual's size n is that of `residual_over`: pool \\ F, less the
-    edges touching F for BM; BI counts elements dependent with F.  An
-    exhaustive solve runs on inst's own tables and masks and builds no
-    residual; only the Lagrangian strategy does.
+    residual's size n is that of `residual_over`: the pool's
+    `survivors` of F.  An exhaustive solve runs on inst's own tables
+    from F's walk state and builds no residual; only the Lagrangian
+    strategy does.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
     constraint = inst.constraint
-    if constraint.kind == "matching":
-        vm = constraint.graph._vmask
-        base = constraint.graph.vertex_mask(pinned)
-        keep = [e for e in pool if not vm[e] & base]
-    else:
-        base = inst.mask_of(pinned)
-        keep = [e for e in pool if not base >> e & 1]
+    base = constraint.state_of(pinned)
+    keep = constraint.survivors(base, pool)
     n = len(keep)
     if n == 0:
         return ()
@@ -83,11 +78,11 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
 
     Enumerates every feasible F with |F| ≤ 4; for each, the rest of the
     instance is filtered to elements no more profitable than F's
-    cheapest profit and handed to the non-profitable solver.  If an
-    optimal solution has ≤ 4 elements some F hits it exactly; otherwise
-    F = its top-4 profits caps the filtered maximum at OPT/4 and the
-    Lemma 7 loss at OPT/2.  The value is independent of ε, so the
-    result is cached on the instance.
+    cheapest profit (F = ∅ keeps them all) and handed to the
+    non-profitable solver.  If an optimal solution has ≤ 4 elements some
+    F hits it exactly; otherwise F = its top-4 profits caps the filtered
+    maximum at OPT/4 and the Lemma 7 loss at OPT/2.  The value is
+    independent of ε, so the result is cached on the instance.
     """
     cached = inst._cache.get("two_approx")
     if cached is not None:
@@ -95,12 +90,11 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     P = inst.int_profit
     best: tuple[int, tuple[int, ...]] | None = None
     for pinned in iter_solutions(inst, max_size=4):
+        pool = inst.ids
         if pinned:
             threshold = min(P[e] for e in pinned)
-            pool = [e for e in inst.ids if P[e] <= threshold]
-            tail = residual_tail(inst, pinned, pool)
-        else:
-            tail = non_profitable_solve(inst).ids
+            pool = [e for e in pool if P[e] <= threshold]
+        tail = residual_tail(inst, pinned, pool)
         key = checked_key(inst, pinned, tail)
         best = key if best is None else min(best, key)
     sol = Solution.of(inst, best[1])

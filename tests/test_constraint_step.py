@@ -1,0 +1,132 @@
+"""The constraint step that every walk and residual shares: `state_of`,
+`extend` and `survivors` on both constraint classes, checked against
+the whole-set predicate `feasible_mask` and the residual builder
+`residual_over`; and `two_approx`, whose empty prefix now goes through
+the same residual solve as every other prefix."""
+
+import importlib
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+import bcopt as B
+from bcopt.model import better, residual_over
+
+R = importlib.import_module("bcopt.repset")
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
+
+
+def bi_pairs(seed, n):
+    """Partition matroid over pairs {2i, 2i+1} (capacity 1) ∩ U(n/4, n)."""
+    rng = random.Random(seed)
+    els = [B.Element(i, rng.randint(1, 20), rng.randint(1, 20)) for i in range(n)]
+    m1 = B.PartitionMatroid(range(n), [[2 * i, 2 * i + 1] for i in range(n // 2)],
+                            [1] * (n // 2))
+    m2 = B.UniformMatroid(range(n), n // 4)
+    total = sum(e.cost for e in els)
+    return B.BCInstance(els, B.MatroidIntersectionConstraint(m1, m2), Fraction(total, 2))
+
+
+INSTANCES = (
+    [(p.stem, B.load_instance(str(p))) for p in sorted(CORPUS.glob("*.json"))]
+    + [(f"bm{nv}", B.random_bm(40 + nv, n_vertices=nv)) for nv in (10, 11, 12)]
+    + [(f"bi{n}", bi_pairs(50 + n, n)) for n in (12, 16, 20)]
+)
+IDS = [name for name, _ in INSTANCES]
+
+
+def mask(ids):
+    return sum(1 << e for e in ids)
+
+
+@pytest.mark.parametrize("name,inst", INSTANCES, ids=IDS)
+def test_extend_agrees_with_feasible_mask(name, inst):
+    """Grow sets one element at a time in random orders: extend refuses
+    exactly the elements that make the set infeasible, and the state it
+    returns is the state of the grown set."""
+    c = inst.constraint
+    rng = random.Random(name)
+    refused = accepted = 0
+    for _ in range(30):
+        order = list(inst.ids)
+        rng.shuffle(order)
+        chosen = []
+        state = c.state_of(())
+        for e in order:
+            nxt = c.extend(state, e)
+            ok = c.feasible_mask(mask(chosen + [e]))
+            assert (nxt is not None) == ok, (chosen, e)
+            if ok:
+                chosen.append(e)
+                assert nxt == c.state_of(chosen)
+                state = nxt
+                accepted += 1
+            else:
+                refused += 1
+    assert accepted
+    # nothing to refuse only when the whole ground set is feasible
+    assert refused or c.feasible_mask(c.ground_mask)
+
+
+def pinned_sets(inst):
+    """Every feasible set of up to 3 elements, thinned to at most 60."""
+    sols = list(B.iter_solutions(inst, max_size=3))
+    return sols[:: max(1, len(sols) // 60)]
+
+
+@pytest.mark.parametrize("name,inst", INSTANCES, ids=IDS)
+def test_survivors_are_the_residual_ids(name, inst):
+    c = inst.constraint
+    P = inst.int_profit
+    for pinned in pinned_sets(inst):
+        state = c.state_of(pinned)
+        pools = [inst.ids, [e for e in inst.ids if e % 2]]
+        if pinned:
+            cut = min(P[e] for e in pinned)
+            pools.append([e for e in inst.ids if P[e] <= cut])
+        for pool in pools:
+            kept = c.survivors(state, pool)
+            assert tuple(kept) == residual_over(inst, pinned, pool).ids
+            assert not set(kept) & set(pinned)
+            if c.kind == "matching":
+                # BM drops every edge that cannot join the matching
+                assert all(c.extend(state, e) is not None for e in kept)
+            else:
+                # BI drops only F: thinning keeps the dependent elements
+                assert kept == [e for e in pool if e not in pinned]
+
+
+def reference_two_approx(inst, solve):
+    """two_approx as it was written before every prefix, the empty one
+    included, went through `residual_tail`."""
+    best = None
+    P = inst.int_profit
+    for pinned in B.iter_solutions(inst, max_size=4):
+        if pinned:
+            t = min(P[e] for e in pinned)
+            sub = residual_over(inst, pinned, [e for e in inst.ids if P[e] <= t])
+            tail = solve(sub).ids
+        else:
+            tail = solve(inst).ids
+        best = better(best, B.Solution.of(inst, set(pinned) | set(tail)))
+    return best
+
+
+@pytest.mark.parametrize("name,inst", INSTANCES, ids=IDS)
+def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypatch):
+    solve = B.non_profitable_solve
+    calls = []
+    monkeypatch.setattr(R, "non_profitable_solve",
+                        lambda sub, *a: calls.append(sub) or solve(sub, *a))
+    # a fresh copy: two_approx caches its result on the instance
+    copy = B.BCInstance(inst.elements, inst.constraint, inst.budget)
+    sol, alpha = B.two_approx(copy)
+    assert sol == reference_two_approx(B.BCInstance(copy.elements, copy.constraint,
+                                                    copy.budget), solve)
+    assert alpha == sol.profit
+    assert all(sub is not copy for sub in calls)
+    if copy.n <= 24:
+        # every residual is exhaustive and solved in place
+        assert calls == []

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 from .driver import eptas_run
 from .errors import CapacityError, DegenerateAlpha, InputError
 from .generate import corpus_bi, corpus_bm, random_bi, random_bm
-from .lagrangian import non_profitable_solve
+from .lagrangian import STRATEGIES, non_profitable_solve
 from .matroids import AxiomReport, axiom_check
 from .model import BCInstance, MatroidIntersectionConstraint
 from .oracles import brute_force_opt, check_exchange_set, check_representative
@@ -32,7 +32,6 @@ from .serialize import (
     solution_to_dict,
 )
 
-STRATEGIES = ("auto", "exhaustive", "lagrangian")
 ALPHA_MODES = ("two-approx", "exact")
 
 
@@ -44,6 +43,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (0, None) else 2
     try:
+        _check_counts(args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -60,6 +60,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject the integer options whose values no command can use."""
+    if getattr(args, "max_exhaustive", 0) < 0:
+        raise InputError(
+            f"--max-exhaustive must be nonnegative, got {args.max_exhaustive}"
+        )
+    if getattr(args, "jobs", 1) < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -470,10 +480,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for path in files
         for tok, _ in eps_values
     ]
-    if args.jobs > 1 and tasks:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(_bench_row, tasks)
     else:
         rows = [_bench_row(t) for t in tasks]

@@ -21,13 +21,15 @@ from .model import (
 )
 
 
-def _class_members(
+def class_members(
     inst: BCInstance,
     eps: Fraction,
     alpha: Fraction,
     r: int,
     classing: ProfitClassing | None,
 ) -> tuple[SchemeParams, ProfitClassing, tuple[int, ...]]:
+    """Parameters, classing and the members of profit class r; raises
+    InputError when r is not a class index."""
     params = scheme_params(inst, eps)
     if classing is None:
         classing = profit_classes(inst, eps, alpha)
@@ -48,7 +50,7 @@ def exset_matching(
     remain, so astronomically large nominal k never costs time."""
     if inst.constraint.kind != "matching":
         raise InputError("exset_matching requires a matching constraint")
-    params, classing, members = _class_members(inst, eps, alpha, r, classing)
+    params, classing, members = class_members(inst, eps, alpha, r, classing)
     graph = inst.constraint.graph
     remaining = set(members)
     collected: set[int] = set()
@@ -90,7 +92,7 @@ def extend_chain(
     """
     if inst.constraint.kind != "matroid_intersection":
         raise InputError("extend_chain requires a matroid-intersection constraint")
-    params, classing, members = _class_members(inst, eps, alpha, r, classing)
+    params, classing, members = class_members(inst, eps, alpha, r, classing)
     chain_set = frozenset(chain)
     unknown = chain_set - inst.id_set
     if unknown:
@@ -167,7 +169,7 @@ def _validate_pair(
     b: int | None,
     classing: ProfitClassing | None,
 ) -> tuple[SchemeParams, frozenset[int], set[int]]:
-    params, classing, members = _class_members(inst, eps, alpha, r, classing)
+    params, classing, members = class_members(inst, eps, alpha, r, classing)
     member_set = set(members)
     delta_set = frozenset(delta)
     unknown = delta_set - inst.id_set

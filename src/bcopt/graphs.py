@@ -84,17 +84,6 @@ class Graph:
             raise InputError(f"unknown edge ids: {sorted(unknown)}")
         return Graph(self.num_vertices, {e: self.edge_ends[e] for e in keep})
 
-    def without_vertices_of(self, edge_ids: Iterable[int]) -> "Graph":
-        """Subgraph keeping only edges disjoint from the endpoints of the
-        given edges.  Vertex count is preserved."""
-        banned = self.vertex_mask(edge_ids)
-        kept = {
-            e: self.edge_ends[e]
-            for e in self._edge_ids
-            if not self._vmask[e] & banned
-        }
-        return Graph(self.num_vertices, kept)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

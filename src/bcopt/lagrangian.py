@@ -73,8 +73,11 @@ def relaxation_solve(
     return frozenset(chosen), inst.profit_of(chosen) - lam * inst.cost_of(chosen)
 
 
-def lagrangian_search(inst: BCInstance, max_probes: int = 64) -> LagrangianCertificate:
-    """Bisection on λ with a fixed probe budget.
+MAX_PROBES = 64
+
+
+def lagrangian_search(inst: BCInstance) -> LagrangianCertificate:
+    """Bisection on λ with a fixed budget of MAX_PROBES probes.
 
     The midpoint is the intersection of the two bracket lines when that
     is informative, which snaps onto exact breakpoints; otherwise the
@@ -112,7 +115,7 @@ def lagrangian_search(inst: BCInstance, max_probes: int = 64) -> LagrangianCerti
     def line_value(s: frozenset[int], lam: Fraction) -> Fraction:
         return inst.profit_of(s) - lam * inst.cost_of(s)
 
-    while probes < max_probes:
+    while probes < MAX_PROBES:
         p_lo, c_lo = inst.profit_of(s_lo), inst.cost_of(s_lo)
         p_hi, c_hi = inst.profit_of(s_hi), inst.cost_of(s_hi)
         cross = (p_lo - p_hi) / (c_lo - c_hi)
@@ -264,6 +267,16 @@ def patch_intersection(inst: BCInstance, cert: LagrangianCertificate) -> Solutio
 STRATEGIES = ("auto", "exhaustive", "lagrangian")
 
 
+def choose_strategy(strategy: str, n: int, max_exhaustive: int) -> str:
+    """The strategy that solves an n-element instance: auto is
+    exhaustive when n fits the gate, else lagrangian."""
+    if strategy not in STRATEGIES:
+        raise InputError(f"unknown strategy {strategy!r}")
+    if strategy == "auto":
+        return "exhaustive" if n <= max_exhaustive else "lagrangian"
+    return strategy
+
+
 def non_profitable_solve(
     inst: BCInstance,
     strategy: str = "auto",
@@ -272,15 +285,11 @@ def non_profitable_solve(
     """Solution with p(S) ≥ OPT − 2·max p(e).
 
     exhaustive: exact optimum (capacity-gated).  lagrangian: bisection
-    plus patching.  auto: exhaustive when the instance fits the gate,
-    else lagrangian.
+    plus patching.  auto: see `choose_strategy`.
     """
-    if strategy not in STRATEGIES:
-        raise InputError(f"unknown strategy {strategy!r}")
+    strategy = choose_strategy(strategy, inst.n, max_exhaustive)
     if inst.n == 0:
         return Solution.of(inst, ())
-    if strategy == "auto":
-        strategy = "exhaustive" if inst.n <= max_exhaustive else "lagrangian"
     if strategy == "exhaustive":
         return brute_force_opt(inst, max_exhaustive)
     cert = lagrangian_search(inst)

@@ -36,16 +36,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import networkx as nx
 
 from .errors import CapacityError, InputError
+from .exchange import class_members
 from .graphs import Graph
 from .matroids import Matroid
-from .model import (
-    BCInstance,
-    ProfitClassing,
-    Solution,
-    _rat,
-    profit_classes,
-    scheme_params,
-)
+from .model import BCInstance, ProfitClassing, Solution, _rat
 
 
 @dataclass(frozen=True)
@@ -312,18 +306,20 @@ def _best_augmenting_path(
     return best
 
 
+MAX_ENUM = 20
+
+
 def max_weight_common_independent(
     m1: Matroid,
     m2: Matroid,
     weights: Mapping[int, Fraction],
     method: str = "auto",
-    max_enum: int = 20,
 ) -> frozenset[int]:
     """A maximum-weight common independent set of two matroids.
 
     method="augmenting" (the default under "auto") runs the exchange
     graph algorithm; method="enumeration" exhaustively checks all
-    common independent sets (n ≤ max_enum, canonical lex tie-break) and
+    common independent sets (n ≤ MAX_ENUM, canonical lex tie-break) and
     exists as the independent cross-check.
     """
     if m1.ground != m2.ground:
@@ -333,8 +329,8 @@ def max_weight_common_independent(
     if method != "enumeration":
         raise InputError(f"unknown method {method!r}")
     n = len(m1.ground_list)
-    if n > max_enum:
-        raise CapacityError(f"enumeration over {n} elements (bound {max_enum})")
+    if n > MAX_ENUM:
+        raise CapacityError(f"enumeration over {n} elements (bound {MAX_ENUM})")
     pool = [e for e in m1.ground_list if weights[e] > 0]
 
     def extend(state: tuple[int, int | Fraction], j: int) -> tuple | None:
@@ -371,10 +367,8 @@ def check_exchange_set(
     """
     if inst.n > max_n:
         raise CapacityError(f"exchange check over {inst.n} elements (bound {max_n})")
-    params = scheme_params(inst, eps)
-    if classing is None:
-        classing = profit_classes(inst, eps, alpha)
-    members = set(classing.classes.get(r, ()))
+    params, _, members = class_members(inst, eps, alpha, r, classing)
+    members = set(members)
     xset = set(exchange_set)
     if not xset <= inst.id_set:
         raise InputError("exchange set contains unknown element ids")

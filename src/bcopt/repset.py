@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .errors import CapacityError, InputError, InvariantError
 from .exchange import exset_matching, exset_matroid_intersection
-from .lagrangian import STRATEGIES, non_profitable_solve
+from .lagrangian import choose_strategy, non_profitable_solve
 from .model import (
     BCInstance,
     ProfitClassing,
@@ -40,16 +40,13 @@ def residual_tail(
     from F's walk state and builds no residual; only the Lagrangian
     strategy does.
     """
-    if strategy not in STRATEGIES:
-        raise InputError(f"unknown strategy {strategy!r}")
     constraint = inst.constraint
     base = constraint.state_of(pinned)
     keep = constraint.survivors(base, pool)
     n = len(keep)
+    strategy = choose_strategy(strategy, n, max_exhaustive)
     if n == 0:
         return ()
-    if strategy == "auto":
-        strategy = "exhaustive" if n <= max_exhaustive else "lagrangian"
     if strategy == "lagrangian":
         sub = residual_over(inst, pinned, pool)
         return non_profitable_solve(sub, strategy, max_exhaustive).ids

@@ -320,3 +320,73 @@ def test_solve_bytes_survive_optimize_flag(path):
     ]
     assert runs[0] == runs[1]
     assert json.loads(runs[0])["solution"]["feasible"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", FIG1, "--epsilon", "1/2"],
+    ["exact", FIG1],
+    ["nps", FIG1],
+    ["verify", str(FIXTURES / "corpus" / "bi_004.json"), "--check", "axioms"],
+    ["bench", FIG1, "--epsilons", "1/2"],
+])
+def test_negative_max_exhaustive_is_an_input_error(argv, capsys):
+    code, out, err = run(capsys, argv + ["--max-exhaustive", "-3"])
+    assert code == 2 and out == ""
+    assert err == "input error: --max-exhaustive must be nonnegative, got -3\n"
+    # zero is a gate that every nonempty residual fails, not an input error
+    assert run(capsys, argv + ["--max-exhaustive", "0"])[0] in (0, 3)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_jobs_below_one_is_an_input_error(jobs, capsys):
+    code, out, err = run(capsys, ["bench", FIG1, "--epsilons", "1/2", "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert err == f"input error: --jobs must be at least 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("jobs,tasks,workers", [
+    (8, 2, [2]),   # never more workers than rows
+    (2, 3, [2]),
+    (4, 1, []),    # one row runs in process
+])
+def test_bench_starts_at_most_one_worker_per_row(jobs, tasks, workers, monkeypatch, capsys):
+    import multiprocessing
+
+    started = []
+
+    class Pool:
+        def __init__(self, n):
+            started.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(t) for t in items]
+
+    class Context:
+        pass
+
+    Context.Pool = Pool
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    eps = ",".join(["1/2", "1/3", "1/4"][:tasks])
+    argv = ["bench", FIG1, "--epsilons", eps]
+    code, out, _ = run(capsys, argv + ["--jobs", str(jobs)])
+    assert code == 0 and len(out.splitlines()) == 1 + tasks
+    assert started == workers
+    assert out == run(capsys, argv)[1]
+
+
+def test_verify_exchange_set_rejects_unknown_class(tmp_path, capsys):
+    cand = tmp_path / "r999.json"
+    cand.write_text(json.dumps({"r": 999, "alpha": "11", "ids": []}))
+    code, out, err = run(
+        capsys,
+        ["verify", FIG1, "--check", "exchange-set", "--epsilon", "1/2",
+         "--candidate", str(cand)],
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: class index 999 outside 1..3\n"

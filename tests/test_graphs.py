@@ -35,8 +35,9 @@ def test_restrict_and_vertex_removal():
     g = B.Graph(5, {0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)})
     sub = g.restrict([0, 2])
     assert sub.edge_ids == (0, 2)
-    gone = g.without_vertices_of([0])    # drops vertices 1 and 2
-    assert gone.edge_ids == (2,)
+    c = B.MatchingConstraint(g)
+    gone = c.survivors(c.state_of([0]), g.edge_ids)    # drops vertices 1 and 2
+    assert gone == [2]
 
 
 def test_greedy_matching_takes_cheapest_compatible():

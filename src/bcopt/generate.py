@@ -48,6 +48,8 @@ def random_bm(
     _check_ranges(profit_range, cost_range, budget_fraction)
     if n_vertices < 0 or not 0 <= edge_prob <= 1:
         raise InputError("bad generator parameters")
+    if max_edges is not None and max_edges < 1:
+        raise InputError(f"max_edges must be at least 1, got {max_edges}")
     rng = random.Random(seed)
     p = float(edge_prob)
     ends = {}

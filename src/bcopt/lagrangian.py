@@ -185,9 +185,9 @@ def patch_matching(inst: BCInstance, cert: LagrangianCertificate) -> Solution:
     """
     if inst.constraint.kind != "matching":
         raise InputError("patch_matching requires a matching constraint")
-    best = better(Solution.of(inst, ()), Solution.of(inst, cert.s_minus))
     if cert.s_plus is None:
         return Solution.of(inst, cert.s_minus)
+    best = better(Solution.of(inst, ()), Solution.of(inst, cert.s_minus))
     plus_sol = Solution.of(inst, cert.s_plus)
     if plus_sol.feasible:
         best = better(best, plus_sol)
@@ -235,9 +235,9 @@ def patch_intersection(inst: BCInstance, cert: LagrangianCertificate) -> Solutio
     """
     if inst.constraint.kind != "matroid_intersection":
         raise InputError("patch_intersection requires an intersection constraint")
-    best = better(Solution.of(inst, ()), Solution.of(inst, cert.s_minus))
     if cert.s_plus is None:
         return Solution.of(inst, cert.s_minus)
+    best = better(Solution.of(inst, ()), Solution.of(inst, cert.s_minus))
     plus_sol = Solution.of(inst, cert.s_plus)
     if plus_sol.feasible:
         best = better(best, plus_sol)

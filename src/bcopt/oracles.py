@@ -39,7 +39,7 @@ from .errors import CapacityError, InputError
 from .exchange import class_members
 from .graphs import Graph
 from .matroids import Matroid
-from .model import BCInstance, ProfitClassing, Solution, _rat
+from .model import BCInstance, ProfitClassing, Solution, _check_epsilon
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,6 @@ def max_weight_matching(
     return frozenset(out)
 
 
-def _bit(e: int) -> int:
-    return 1 << e
-
-
 def mi_extreme_chain(
     m1: Matroid, m2: Matroid, weights: Mapping[int, Fraction]
 ) -> list[frozenset[int]]:
@@ -227,14 +223,16 @@ def mi_extreme_chain(
     Returns [S_0, S_1, ..., S_k] where S_i is a max-weight common
     independent set of size i and S_k is the overall maximum (growth
     stops when the best augmenting path no longer gains weight).
-    Elements of non-positive weight are ignored.
+    Elements of non-positive weight are ignored.  Each augmentation
+    adds one element, so capping them at len(elems) binds only off
+    matroids, whose walks may repeat elements.
     """
     if m1.ground != m2.ground:
         raise InputError("the two matroids must share a ground set")
     elems = [e for e in m1.ground_list if weights[e] > 0]
     smask = 0
     chain = [frozenset()]
-    while True:
+    for _ in elems:
         step = _best_augmenting_path(m1, m2, weights, elems, smask)
         if step is None:
             break
@@ -242,8 +240,8 @@ def mi_extreme_chain(
         if length >= 0:
             break
         for v in seq:
-            smask ^= _bit(v)
-        chain.append(frozenset(e for e in elems if smask & _bit(e)))
+            smask ^= 1 << v
+        chain.append(frozenset(e for e in elems if smask >> e & 1))
     return chain
 
 
@@ -255,55 +253,54 @@ def _best_augmenting_path(
     smask: int,
 ) -> tuple[Fraction, int, tuple[int, ...]] | None:
     """Minimum (total length, hop count, lexicographic node sequence)
-    source→sink path in the exchange graph of the current set.
+    source→sink walk in the exchange graph of the current set.
 
     Node length is −w outside the set, +w inside; sources are elements
     addable in the first matroid, sinks addable in the second.  The
     min-length min-hop choice is what keeps the augmented set extreme.
+
+    Each element keeps one label, the least key over the walks from a
+    source to it, relaxed along the arcs in rounds over changed labels.
+    The chain's sets are extreme, so there is no negative cycle: the
+    least walk to a sink is a simple path (cutting out a cycle never
+    lengthens a walk and saves hops) whose prefixes are least walks;
+    a hop-layered search over simple paths keeping the least entry per
+    element per hop therefore picks it too.  Labels settle within
+    len(elems) − 1 rounds; the cap only ends the search off matroids.
     """
-    inside = [e for e in elems if smask & _bit(e)]
-    outside = [e for e in elems if not smask & _bit(e)]
-    x1 = [x for x in outside if m1.independent_mask(smask | _bit(x))]
-    x2set = {x for x in outside if m2.independent_mask(smask | _bit(x))}
-    if not x1 or not x2set:
+    inside = [e for e in elems if smask >> e & 1]
+    outside = [e for e in elems if not smask >> e & 1]
+    x1 = [x for x in outside if m1.independent_mask(smask | (1 << x))]
+    x2 = [x for x in outside if m2.independent_mask(smask | (1 << x))]
+    if not x1 or not x2:
         return None
     arcs: dict[int, list[int]] = {e: [] for e in elems}
     for y in inside:
-        swapped = smask ^ _bit(y)
+        swapped = smask ^ (1 << y)
         for x in outside:
-            cand = swapped | _bit(x)
+            cand = swapped | (1 << x)
             if m1.independent_mask(cand):
                 arcs[y].append(x)
             if m2.independent_mask(cand):
                 arcs[x].append(y)
-    length = {e: (w[e] if smask & _bit(e) else -w[e]) for e in elems}
+    length = {e: (w[e] if smask >> e & 1 else -w[e]) for e in elems}
 
-    # dp[v] = best (length, path) reaching v with exactly h arcs
-    dp: dict[int, tuple[Fraction, tuple[int, ...]]] = {
-        v: (length[v], (v,)) for v in sorted(x1)
-    }
-    best: tuple[Fraction, int, tuple[int, ...]] | None = None
-    node_count = len(elems)
-    for hops in range(node_count):
-        for v in sorted(dp):
-            if v in x2set:
-                cand = (dp[v][0], hops, dp[v][1])
-                if best is None or cand < best:
-                    best = cand
-        nxt: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
-        for u in sorted(dp):
-            base_len, base_path = dp[u]
+    label = {v: (length[v], 0, (v,)) for v in x1}
+    changed = x1
+    for _ in elems:
+        touched = set()
+        for u in changed:
+            base_len, hops, seq = label[u]
             for v in arcs[u]:
-                if v in base_path:
-                    continue
-                cand = (base_len + length[v], base_path + (v,))
-                cur = nxt.get(v)
+                cand = (base_len + length[v], hops + 1, seq + (v,))
+                cur = label.get(v)
                 if cur is None or cand < cur:
-                    nxt[v] = cand
-        dp = nxt
-        if not dp:
+                    label[v] = cand
+                    touched.add(v)
+        if not touched:
             break
-    return best
+        changed = sorted(touched)
+    return min((label[x] for x in x2 if x in label), default=None)
 
 
 MAX_ENUM = 20
@@ -336,7 +333,7 @@ def max_weight_common_independent(
     def extend(state: tuple[int, int | Fraction], j: int) -> tuple | None:
         mask, acc = state
         e = pool[j]
-        cand = mask | _bit(e)
+        cand = mask | (1 << e)
         if not (m1.independent_mask(cand) and m2.independent_mask(cand)):
             return None
         return cand, acc + weights[e]
@@ -391,11 +388,11 @@ def check_exchange_set(
             for b in swap_pool:
                 if cost[b] > ca:
                     break
-                bb = _bit(b)
+                bb = 1 << b
                 if delta_mask & bb:
                     continue
                 probes += 1
-                if constraint.feasible_mask((delta_mask ^ _bit(a)) | bb):
+                if constraint.feasible_mask((delta_mask ^ (1 << a)) | bb):
                     found = True
                     break
             if not found:
@@ -403,7 +400,7 @@ def check_exchange_set(
         return None
 
     def extend(mask: int, j: int) -> int | None:
-        cand = mask | _bit(inst.ids[j])
+        cand = mask | (1 << inst.ids[j])
         return cand if constraint.feasible_mask(cand) else None
 
     witness: dict | None = None
@@ -428,6 +425,7 @@ def check_representative(
 ) -> OracleReport:
     """Decide whether R is a representative set: some solution avoiding
     the profitable non-members (profit > ε·OPT) reaches (1−4ε)·OPT."""
+    eps = _check_epsilon(eps)
     if inst.n > max_n:
         raise CapacityError(
             f"representative check over {inst.n} elements (bound {max_n})"
@@ -436,7 +434,6 @@ def check_representative(
     if not rset <= inst.id_set:
         raise InputError("representative set contains unknown element ids")
     opt = brute_force_opt(inst, max_n)
-    eps = _rat(eps)
     target = (1 - 4 * eps) * opt.profit
     heavy = {e.id for e in inst.elements if e.profit > eps * opt.profit}
     allowed = sorted((inst.id_set - heavy) | (rset & heavy))

@@ -233,6 +233,28 @@ def test_gen_validation(capsys):
                         "--kinds", "uniform"])[0] == 2
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "3/4"])
+def test_verify_representative_epsilon_out_of_range(eps, tmp_path, capsys):
+    cand = tmp_path / "rep.json"
+    cand.write_text(json.dumps({"ids": [0, 1]}))
+    code, out, err = run(
+        capsys,
+        ["verify", FIG1, "--check", "representative", "--epsilon", eps,
+         "--candidate", str(cand)],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error: epsilon must be in (0, 1/2]")
+
+
+@pytest.mark.parametrize("max_edges", ["0", "-1"])
+def test_gen_max_edges_below_one_is_an_input_error(max_edges, capsys):
+    code, out, err = run(
+        capsys, ["gen", "--family", "bm", "--seed", "1", "--max-edges", max_edges]
+    )
+    assert code == 2 and out == ""
+    assert err == f"input error: max_edges must be at least 1, got {max_edges}\n"
+
+
 def test_gen_to_solve(tmp_path, capsys):
     out_file = tmp_path / "inst.json"
     code, out, _ = run(

@@ -85,6 +85,9 @@ def test_generator_validation():
         B.random_bm(1, cost_range=(-1, 3))
     with pytest.raises(InputError):
         B.random_bm(1, budget_fraction=Fraction(-1, 2))
+    for max_edges in (0, -1):
+        with pytest.raises(InputError):
+            B.random_bm(1, max_edges=max_edges)
     with pytest.raises(InputError):
         B.random_bi(1, n=0)
     with pytest.raises(InputError):

@@ -7,8 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcopt as B
+from bcopt import oracles
 from bcopt.errors import CapacityError, InputError
-from util import all_matchings, brute_max_weight, random_graph, random_matroid
+from bcopt.generate import BI_KINDS
+from bcopt.model import relaxation_weights
+from util import (
+    all_matchings,
+    brute_max_weight,
+    random_graph,
+    random_matroid,
+    reference_best_augmenting_path,
+)
 
 
 def test_brute_force_opt_fig1(fig1):
@@ -131,27 +140,121 @@ def test_max_weight_matching_drops_nonpositive():
     assert got == frozenset()
 
 
-def test_mi_extreme_chain_sizes():
+TIE_HEAVY = (F(-1), F(0), F(1, 2), F(1), F(1), F(3, 2), F(2))
+
+
+def _chain_cases():
+    """(m1, m2, weights): a fixed partition pair, then seeded random_bi
+    pairs with n ≤ 10 and tie-heavy weights."""
     m1 = B.PartitionMatroid(range(4), [[0, 1], [2, 3]], [1, 1])
     m2 = B.PartitionMatroid(range(4), [[0, 3], [1, 2]], [1, 1])
-    w = {0: F(10), 1: F(9), 2: F(8), 3: F(1)}
+    yield m1, m2, {0: F(10), 1: F(9), 2: F(8), 3: F(1)}
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        kinds = (rng.choice(BI_KINDS), rng.choice(BI_KINDS))
+        c = B.random_bi(seed, n=n, kinds=kinds).constraint
+        yield c.m1, c.m2, {e: rng.choice(TIE_HEAVY) for e in range(n)}
+
+
+def test_mi_extreme_chain_sizes():
+    for m1, m2, w in _chain_cases():
+        chain = B.mi_extreme_chain(m1, m2, w)
+        ground = m1.ground_list
+        assert chain[0] == frozenset()
+        assert [len(s) for s in chain] == list(range(len(chain)))
+        # each level is a max-weight common independent set of its size
+        common = [
+            frozenset(c)
+            for k in range(len(ground) + 1)
+            for c in itertools.combinations(ground, k)
+            if m1.independent_mask(sum(1 << e for e in c))
+            and m2.independent_mask(sum(1 << e for e in c))
+        ]
+        for size, s in enumerate(chain):
+            best = max(
+                (sum((w[e] for e in c), F(0)) for c in common if len(c) == size),
+                default=F(0),
+            )
+            assert sum((w[e] for e in s), F(0)) == best
+        # and the last level is a max-weight common independent set overall
+        assert sum((w[e] for e in chain[-1]), F(0)) == brute_max_weight(common, w)
+
+
+def _reference_chain(monkeypatch, m1, m2, w):
+    """The chain grown with the reference path search patched in; each
+    step also checks that the library's search returns the same
+    (length, hops, sequence)."""
+    real = oracles._best_augmenting_path
+
+    def reference(*args):
+        want = reference_best_augmenting_path(*args)
+        assert real(*args) == want
+        return want
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracles, "_best_augmenting_path", reference)
+        return B.mi_extreme_chain(m1, m2, w)
+
+
+@pytest.mark.parametrize(
+    "kinds", list(itertools.product(BI_KINDS, repeat=2)), ids="-".join
+)
+def test_mi_extreme_chain_matches_simple_path_reference(kinds, monkeypatch):
+    for n in range(4, 13):
+        inst = B.random_bi(n, n=n, kinds=kinds)
+        c = inst.constraint
+        rng = random.Random(n)
+        weights = [relaxation_weights(inst, lam) for lam in (F(0), F(1, 2), F(3, 2))]
+        weights.append({e: rng.choice(TIE_HEAVY) for e in range(n)})
+        for w in weights:
+            want = _reference_chain(monkeypatch, c.m1, c.m2, w)
+            assert B.mi_extreme_chain(c.m1, c.m2, w) == want
+
+
+@pytest.mark.parametrize(
+    "n,first", [(30, "uniform"), (40, "partition"), (55, "uniform"), (70, "partition")]
+)
+def test_mi_extreme_chain_matches_reference_at_nps_sizes(n, first, monkeypatch):
+    # shaped like the Lagrangian NPS's BI relaxations: rank about n/2
+    # intersected with a uniform matroid of rank n/3
+    rng = random.Random(n)
+    if first == "uniform":
+        m1 = B.UniformMatroid(range(n), n // 2)
+    else:
+        block = [rng.randrange(n // 2) for _ in range(n)]
+        groups = [[e for e in range(n) if block[e] == b] for b in range(n // 2)]
+        groups = [g for g in groups if g]
+        m1 = B.PartitionMatroid(range(n), groups, [1] * len(groups))
+    m2 = B.UniformMatroid(range(n), n // 3)
+    w = {e: F(rng.randint(1, 20)) - F(rng.randint(1, 20), 2) for e in range(n)}
+    assert B.mi_extreme_chain(m1, m2, w) == _reference_chain(monkeypatch, m1, m2, w)
+
+
+def test_mi_extreme_chain_breaks_label_ties_by_sequence(monkeypatch):
+    # unit weights: from S = {0, 1, 2}, the walks (3, 2, 5) and
+    # (4, 1, 5) both reach sink 5 with length -1 in 2 hops, and the
+    # label at 5 must keep the lexicographically smaller one
+    ends = {0: (1, 2), 1: (0, 1), 2: (1, 4), 3: (3, 4), 4: (0, 3), 5: (0, 4), 6: (3, 4)}
+    m1 = B.GraphicMatroid(B.Graph(5, ends))
+    m2 = B.PartitionMatroid(range(7), [[0, 1, 4], [2, 3, 6], [5]], [2, 1, 2])
+    w = {e: F(1) for e in range(7)}
+    assert oracles._best_augmenting_path(m1, m2, w, range(7), 0b111) == (F(-1), 2, (3, 2, 5))
+    assert B.mi_extreme_chain(m1, m2, w) == _reference_chain(monkeypatch, m1, m2, w)
+
+
+def test_mi_extreme_chain_returns_on_non_matroid_family():
+    # m1 breaks the exchange axiom ({0, 2, 4} cannot grow from
+    # {0, 1, 3, 5}); its exchange graph has a negative cycle through 0,
+    # 1, 2 and 5, the least walk repeats element 1, and the augmented
+    # sets alternate between {2} and {0, 5} until the augmentation cap
+    m1 = B.ExplicitMatroid(range(6), [[0, 2, 4], [0, 1, 3, 5]])
+    m2 = B.ExplicitMatroid(range(6), [[0, 1, 3, 5], [1, 2, 3, 4, 5]])
+    assert not B.axiom_check(m1).ok
+    w = {0: F(5, 2), 1: F(2), 2: F(8), 3: F(2), 4: F(-2, 3), 5: F(6)}
     chain = B.mi_extreme_chain(m1, m2, w)
     assert chain[0] == frozenset()
-    assert [len(s) for s in chain] == list(range(len(chain)))
-    # each level is a max-weight common independent set of its size
-    common = [
-        frozenset(c)
-        for k in range(5)
-        for c in itertools.combinations(range(4), k)
-        if m1.independent_mask(sum(1 << e for e in c))
-        and m2.independent_mask(sum(1 << e for e in c))
-    ]
-    for size, s in enumerate(chain):
-        best = max(
-            (sum((w[e] for e in c), F(0)) for c in common if len(c) == size),
-            default=F(0),
-        )
-        assert sum((w[e] for e in s), F(0)) == best
+    assert len(chain) <= 1 + sum(1 for e in w if w[e] > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -215,6 +318,14 @@ def test_check_representative_rejects_inexact_epsilon(fig1):
     for bad in (0.1, True):
         with pytest.raises(InputError):
             B.check_representative(fig1, bad, [0, 1])
+
+
+@pytest.mark.parametrize("eps", [F(-1), F(0), F(3, 4)])
+def test_check_representative_rejects_epsilon_out_of_range(fig1, eps):
+    # outside (0, 1/2] the (1-4ε) target is meaningless: ε = -1 made it
+    # 5·OPT and ε = 2 made every candidate pass
+    with pytest.raises(InputError, match="epsilon must be in"):
+        B.check_representative(fig1, eps, [0, 1])
 
 
 def test_check_representative_trivial_when_target_nonpositive(fig1):

@@ -94,3 +94,49 @@ def random_matroid(rng: random.Random, ground):
 
 def opt_profit(inst) -> Fraction:
     return B.brute_force_opt(inst).profit
+
+
+def reference_best_augmenting_path(m1, m2, w, elems, smask):
+    """Reference for `oracles._best_augmenting_path`: a hop-layered
+    search over simple paths that keeps, per hop count, the least
+    (length, node sequence) entry per element, extended only to
+    elements not yet on the path; the result is the least
+    (length, hops, sequence) over the entries that end at a sink."""
+    inside = [e for e in elems if smask & (1 << e)]
+    outside = [e for e in elems if not smask & (1 << e)]
+    x1 = [x for x in outside if m1.independent_mask(smask | (1 << x))]
+    x2set = {x for x in outside if m2.independent_mask(smask | (1 << x))}
+    if not x1 or not x2set:
+        return None
+    arcs = {e: [] for e in elems}
+    for y in inside:
+        swapped = smask ^ (1 << y)
+        for x in outside:
+            cand = swapped | (1 << x)
+            if m1.independent_mask(cand):
+                arcs[y].append(x)
+            if m2.independent_mask(cand):
+                arcs[x].append(y)
+    length = {e: (w[e] if smask & (1 << e) else -w[e]) for e in elems}
+    dp = {v: (length[v], (v,)) for v in sorted(x1)}
+    best = None
+    for hops in range(len(elems)):
+        for v in sorted(dp):
+            if v in x2set:
+                cand = (dp[v][0], hops, dp[v][1])
+                if best is None or cand < best:
+                    best = cand
+        nxt = {}
+        for u in sorted(dp):
+            base_len, base_path = dp[u]
+            for v in arcs[u]:
+                if v in base_path:
+                    continue
+                cand = (base_len + length[v], base_path + (v,))
+                cur = nxt.get(v)
+                if cur is None or cand < cur:
+                    nxt[v] = cand
+        dp = nxt
+        if not dp:
+            break
+    return best

@@ -7,10 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError, InputError
+from .errors import InputError
+from .lagrangian import residual_tail
 from .model import BCInstance, Solution, low_profit_ids, _rat
 from .oracles import iter_solutions
-from .repset import RepSetResult, checked_key, repset, residual_tail
+from .repset import RepSetResult, checked_key, repset
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ def eptas_run(
     (depth-first with hereditary and budget pruning; the winner is
     order-independent because comparison is (profit, lex)); the residual
     of each F, over E(α) computed once per run, goes to the
-    non-profitable solver.  A capacity error from an exhaustive residual
-    solve downgrades that branch to the Lagrangian strategy and is
-    recorded.
+    non-profitable solver.  Under strategy="exhaustive" a residual with
+    more survivors than max_exhaustive is solved as "auto" instead, which
+    the gate sends to the Lagrangian path, and is counted as a fallback.
     """
     rep = repset(inst, eps, alpha_mode=alpha_mode)
     eps = rep.params.epsilon
@@ -59,17 +60,17 @@ def eptas_run(
     enumerated = 0
     fallbacks = 0
     low = low_profit_ids(inst, eps, alpha)
+    c = inst.constraint
     for pinned in iter_solutions(inst, candidates=sorted(rep.union), max_size=cap):
         enumerated += 1
-        fallback = False
-        try:
-            tail = residual_tail(inst, pinned, low, strategy, max_exhaustive)
-        except CapacityError:
-            if strategy != "exhaustive":
-                raise
-            tail = residual_tail(inst, pinned, low, "lagrangian", max_exhaustive)
-            fallback = True
-            fallbacks += 1
+        # an empty residual needs no solve, whatever the gate
+        fallback = strategy == "exhaustive" and (
+            len(c.survivors(c.state_of(pinned), low)) > max(max_exhaustive, 0)
+        )
+        fallbacks += fallback
+        tail = residual_tail(
+            inst, pinned, low, "auto" if fallback else strategy, max_exhaustive
+        )
         key = checked_key(inst, pinned, tail)
         best = min(best, key)
         if collect:

@@ -2,7 +2,7 @@
 greedy matching used by the exchange-set construction.
 
 Edges are identified by integer ids; masks over edge ids use bit position
-= id, so masks stay comparable across derived subgraphs.
+= id, so masks stay comparable across restricted subgraphs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
+
+
+def _is_int(x: object) -> bool:
+    """True for an int that is not a bool: True and False are ints to
+    Python but serialize as JSON booleans, which do not load back."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class Graph:
@@ -28,13 +34,15 @@ class Graph:
     __slots__ = ("num_vertices", "edge_ends", "_vmask", "_edge_ids")
 
     def __init__(self, num_vertices: int, edges: Mapping[int, tuple[int, int]]):
-        if not isinstance(num_vertices, int) or num_vertices < 0:
+        if not _is_int(num_vertices) or num_vertices < 0:
             raise InputError(f"bad vertex count: {num_vertices!r}")
         ends: dict[int, tuple[int, int]] = {}
         vmask: dict[int, int] = {}
         for eid, (u, v) in edges.items():
-            if not isinstance(eid, int) or eid < 0:
+            if not _is_int(eid) or eid < 0:
                 raise InputError(f"bad edge id: {eid!r}")
+            if not _is_int(u) or not _is_int(v):
+                raise InputError(f"edge {eid}: endpoints must be integers: {(u, v)!r}")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise InputError(f"edge {eid}: endpoint out of range: ({u}, {v})")
             if u == v:

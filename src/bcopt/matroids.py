@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 
 
 def _mask_of(ids: Iterable[int]) -> int:
@@ -48,7 +48,7 @@ class Matroid:
     def __init__(self, ground: Iterable[int]):
         ids = sorted(set(ground))
         for e in ids:
-            if not isinstance(e, int) or e < 0:
+            if not _is_int(e) or e < 0:
                 raise InputError(f"bad element id: {e!r}")
         self.ground: frozenset[int] = frozenset(ids)
         self.ground_list: tuple[int, ...] = tuple(ids)
@@ -85,7 +85,7 @@ class UniformMatroid(Matroid):
 
     def __init__(self, ground: Iterable[int], rank: int):
         super().__init__(ground)
-        if not isinstance(rank, int) or rank < 0:
+        if not _is_int(rank) or rank < 0:
             raise InputError(f"bad rank: {rank!r}")
         self.rank = rank
 
@@ -128,7 +128,7 @@ class PartitionMatroid(Matroid):
                 raise InputError(f"block {i} overlaps an earlier block")
             seen |= bm
             cap = capacities[i]
-            if not isinstance(cap, int) or cap < 0:
+            if not _is_int(cap) or cap < 0:
                 raise InputError(f"bad capacity: {cap!r}")
             block_masks.append(bm)
         if seen != self.ground_mask:
@@ -413,7 +413,7 @@ def thin(matroid: Matroid, remove: Iterable[int]) -> Matroid:
 
 def truncate(matroid: Matroid, limit: int) -> Matroid:
     """Cap independent-set size at limit."""
-    if not isinstance(limit, int) or limit < 0:
+    if not _is_int(limit) or limit < 0:
         raise InputError(f"bad truncation limit: {limit!r}")
     return _Truncation(matroid, limit)
 

@@ -1,12 +1,13 @@
 """Core problem model: budgeted instances over a matching or
-matroid-intersection constraint, scheme parameters, profit classes, and
-residual instances.
+matroid-intersection constraint, scheme parameters and profit classes.
 
-Arithmetic runs on integers: a top-level instance scales its profits,
-and its costs with its budget, to integers once, and its residuals share
-those tables.  Only this module knows the scale factors; other modules
-compare the integers and get `Fraction` values back from here, the API
-and report boundary.  Nothing touches floats.
+Arithmetic runs on integers: an instance scales its profits, and its
+costs with its budget, to integers once.  A residual is no instance of
+its own: it is solved in place on its parent's tables, from the walk
+state of its pinned set (see `Constraint`).  Only this module knows the
+scale factors; other modules compare the integers and get `Fraction`
+values back from here, the API and report boundary.  Nothing touches
+floats.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DegenerateAlpha, InputError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .matroids import Matroid
-from .matroids import restrict as matroid_restrict
-from .matroids import thin as matroid_thin
 
 
 def _rat(x: Fraction | int) -> Fraction:
@@ -53,14 +52,7 @@ class MatchingConstraint:
     def feasible_mask(self, mask: int) -> bool:
         if mask & ~self.ground_mask:
             raise InputError("mask has bits outside the ground set")
-        state = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            state = self.extend(state, low.bit_length() - 1)
-            if state is None:
-                return False
-        return True
+        return self.join(0, mask) is not None
 
     def state_of(self, pinned: Iterable[int]) -> int:
         return self.graph.vertex_mask(pinned)
@@ -69,13 +61,19 @@ class MatchingConstraint:
         m = self._vm[e]
         return None if state & m else state | m
 
+    def join(self, state: int, mask: int) -> int | None:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            state = self.extend(state, low.bit_length() - 1)
+            if state is None:
+                return None
+        return state
+
     def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
         """Pool edges that touch no covered vertex."""
         vm = self._vm
         return [e for e in pool if not vm[e] & state]
-
-    def derive(self, pinned: Iterable[int], keep: Iterable[int]) -> "MatchingConstraint":
-        return MatchingConstraint(self.graph.restrict(keep))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchingConstraint):
@@ -113,20 +111,14 @@ class MatroidIntersectionConstraint:
             return cand
         return None
 
+    def join(self, state: int, mask: int) -> int | None:
+        cand = state | mask
+        return cand if self.feasible_mask(cand) else None
+
     def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
         """Pool elements outside the set.  Elements dependent with it
         stay, as thinning keeps them; `extend` refuses them."""
         return [e for e in pool if not state >> e & 1]
-
-    def derive(
-        self, pinned: Iterable[int], keep: Iterable[int]
-    ) -> "MatroidIntersectionConstraint":
-        pinned = tuple(pinned)
-        keep = tuple(keep)
-        return MatroidIntersectionConstraint(
-            matroid_restrict(matroid_thin(self.m1, pinned), keep),
-            matroid_restrict(matroid_thin(self.m2, pinned), keep),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatroidIntersectionConstraint):
@@ -139,9 +131,15 @@ class MatroidIntersectionConstraint:
 
 # Every walk and residual steps a constraint the same way.  state_of(F)
 # is the walk state of a feasible set F, extend(state, e) the state of
-# F + e or None when F + e is infeasible, survivors(state, pool) the
-# pool elements a residual of F keeps, and derive(F, survivors) the
-# residual's own constraint.
+# F + e or None when F + e is infeasible, join(state, mask) the same for
+# F ∪ S with S given by its element mask, and survivors(state, pool) the
+# pool elements a residual of F keeps.  A state is a bit mask, and the
+# state of a feasible F ∪ S is state_of(F) | state_of(S).
+#
+# The residual of F over a pool is solved in place as the triple
+# (state_of(F), survivors, β − c(F)) on the instance's own tables: a set
+# S of survivors solves it when join(state_of(F), S) is not None and
+# c(S) fits the reduced budget, and then F ∪ S solves the instance.
 Constraint = MatchingConstraint | MatroidIntersectionConstraint
 
 
@@ -152,12 +150,8 @@ class BCInstance:
     The integer tables are indexed by element id: int_profit[e] and
     int_cost[e] are p(e) and c(e) times the least common denominator of
     the profits and of the costs and budget, and int_budget is β on the
-    cost scale.  A residual (built by `residual_over`, derived = True)
-    keeps its parent's ids, Element objects, tables and scales, so its
-    integers compare directly with its parent's.
+    cost scale.
     """
-
-    derived = False
 
     def __init__(
         self,
@@ -173,7 +167,7 @@ class BCInstance:
         if len(set(ids)) != len(ids):
             raise InputError("duplicate element ids")
         for e in elements:
-            if not isinstance(e.id, int) or e.id < 0:
+            if not _is_int(e.id) or e.id < 0:
                 raise InputError(f"bad element id: {e.id!r}")
             if e.profit < 0:
                 raise InputError(f"element {e.id}: negative profit")
@@ -191,15 +185,10 @@ class BCInstance:
         self._sp, self._sc = sp, sc
         self.int_profit = tuple(int(e.profit * sp) for e in elements)
         self.int_cost = tuple(int(e.cost * sc) for e in elements)
-        self._assign(elements, constraint, int(budget * sc))
-
-    def _assign(
-        self, elements: tuple[Element, ...], constraint: Constraint, int_budget: int
-    ) -> None:
         self.elements = elements
         self.constraint = constraint
-        self.int_budget = int_budget
-        self.budget = Fraction(int_budget, self._sc)
+        self.int_budget = int(budget * sc)
+        self.budget = budget
         self.ids: tuple[int, ...] = tuple(e.id for e in elements)
         self.id_set: frozenset[int] = frozenset(self.ids)
         self.profit: dict[int, Fraction] = {e.id: e.profit for e in elements}
@@ -215,7 +204,7 @@ class BCInstance:
         return max((e.profit for e in self.elements), default=Fraction(0))
 
     def _table_sum(self, table: tuple[int, ...], ids: tuple[int, ...]) -> int:
-        # the tables also hold the parent's other elements: check first
+        # an unknown id may still index the table (negative ids do): check first
         if not self.id_set.issuperset(ids):
             unknown = [e for e in ids if e not in self.id_set]
             raise InputError(f"unknown element ids: {unknown}")
@@ -287,14 +276,6 @@ class Solution:
         """Sort key for the deterministic (profit desc, lexicographically
         smallest id tuple asc) order; smaller key wins."""
         return (-self.profit, self.ids)
-
-
-def better(a: Solution | None, b: Solution | None) -> Solution | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.key() <= b.key() else b
 
 
 @dataclass(frozen=True)
@@ -432,57 +413,13 @@ def low_profit_ids(
     return tuple(e for e in inst.ids if inst.int_profit[e] <= cut)
 
 
-def residual(
-    inst: BCInstance,
-    eps: Fraction | int,
-    alpha: Fraction | int,
-    pinned: Iterable[int],
-) -> BCInstance:
-    """Residual instance: ground E(α)\\F, constraint thinned by F,
-    budget reduced by c(F).  Any solution T of the residual makes
-    T ∪ F a solution of the parent."""
-    pinned = tuple(sorted(set(pinned)))
-    unknown = [e for e in pinned if e not in inst.id_set]
-    if unknown:
-        raise InputError(f"unknown element ids: {unknown}")
-    if not inst.constraint_ok(pinned):
-        raise InputError("pinned set violates the constraint")
-    if inst.cost_of(pinned) > inst.budget:
-        raise InputError("pinned set exceeds the budget")
-    return residual_over(inst, pinned, low_profit_ids(inst, eps, alpha))
-
-
-def residual_over(
-    inst: BCInstance, pinned: tuple[int, ...], pool: Iterable[int]
-) -> BCInstance:
-    """Residual of a solution F of inst over a ground pool: elements of
-    pool \\ F that survive the constraint thinned by F, budget β − c(F).
-
-    F must be a sorted solution of inst and is not checked again:
-    enumerated prefixes are feasible and within budget by construction,
-    and `residual` checks everyone else's.  The residual shares inst's
-    validated elements, integer tables and scales; nothing is validated
-    or rescaled again."""
-    c = inst.constraint
-    sub_constraint = c.derive(pinned, c.survivors(c.state_of(pinned), pool))
-    kept_ids = sub_constraint.ground
-    sub = object.__new__(BCInstance)
-    sub._sp, sub._sc = inst._sp, inst._sc
-    sub.int_profit, sub.int_cost = inst.int_profit, inst.int_cost
-    sub.derived = True
-    sub._assign(
-        tuple(e for e in inst.elements if e.id in kept_ids),
-        sub_constraint,
-        inst.int_budget - sum(inst.int_cost[e] for e in pinned),
-    )
-    return sub
-
-
-def relaxation_weights(inst: BCInstance, lam: Fraction | int) -> dict[int, int]:
-    """Integer weights k·(p(e) − λ·c(e)) for every element, with one
-    positive k per instance and λ, so they order sets as p − λc does:
-    p·sc·λ.den − λ.num·c·sp on the scaled tables."""
+def relaxation_weights(
+    inst: BCInstance, lam: Fraction | int, ids: Iterable[int] | None = None
+) -> dict[int, int]:
+    """Integer weights k·(p(e) − λ·c(e)) for the given elements (default:
+    all), with one positive k per instance and λ, so they order sets as
+    p − λc does: p·sc·λ.den − λ.num·c·sp on the scaled tables."""
     ps = inst._sc * lam.denominator
     cs = lam.numerator * inst._sp
     P, C = inst.int_profit, inst.int_cost
-    return {e: P[e] * ps - C[e] * cs for e in inst.ids}
+    return {e: P[e] * ps - C[e] * cs for e in (inst.ids if ids is None else ids)}

@@ -177,7 +177,8 @@ def iter_solutions(
 def max_weight_matching(
     graph: Graph, weights: Mapping[int, int | Fraction]
 ) -> frozenset[int]:
-    """A maximum-weight matching (edge ids) for int or Fraction weights.
+    """A maximum-weight matching (edge ids) over the edges that have a
+    weight, for int or Fraction weights.
 
     Weights are scaled to integers by the lcm of their denominators
     before the blossom runs, so networkx takes its exact integer path;
@@ -189,13 +190,15 @@ def max_weight_matching(
     implementation's own.
     """
     chosen_rep: dict[tuple[int, int], tuple[int | Fraction, int]] = {}
-    for e in graph.edge_ids:
+    for e in sorted(weights):
         w = weights[e]
         if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
             raise InputError(f"edge {e}: weight {w!r} is not an exact rational")
         if w <= 0:
             continue
-        pair = graph.edge_ends[e]
+        pair = graph.edge_ends.get(e)
+        if pair is None:
+            raise InputError(f"unknown edge id: {e!r}")
         cur = chosen_rep.get(pair)
         if cur is None or w > cur[0]:
             chosen_rep[pair] = (w, e)
@@ -215,22 +218,26 @@ def max_weight_matching(
 
 
 def mi_extreme_chain(
-    m1: Matroid, m2: Matroid, weights: Mapping[int, Fraction]
+    m1: Matroid, m2: Matroid, weights: Mapping[int, Fraction], base: int = 0
 ) -> list[frozenset[int]]:
     """Chain of maximum-weight common independent sets, one per size,
     grown by shortest augmenting paths in the exchange graph.
 
     Returns [S_0, S_1, ..., S_k] where S_i is a max-weight common
     independent set of size i and S_k is the overall maximum (growth
-    stops when the best augmenting path no longer gains weight).
-    Elements of non-positive weight are ignored.  Each augmentation
-    adds one element, so capping them at len(elems) binds only off
-    matroids, whose walks may repeat elements.
+    stops when the best augmenting path no longer gains weight).  Only
+    elements with a positive weight take part.  base is the element mask
+    of a common independent set F that every set extends: the chain is
+    that of the two matroids contracted by F, and its sets leave F out.
+    Each augmentation adds one element, so capping them at len(elems)
+    binds only off matroids, whose walks may repeat elements.
     """
     if m1.ground != m2.ground:
         raise InputError("the two matroids must share a ground set")
-    elems = [e for e in m1.ground_list if weights[e] > 0]
-    smask = 0
+    elems = [e for e in sorted(weights) if weights[e] > 0]
+    if any(base >> e & 1 for e in elems):
+        raise InputError("weighted elements must lie outside the base set")
+    smask = base
     chain = [frozenset()]
     for _ in elems:
         step = _best_augmenting_path(m1, m2, weights, elems, smask)
@@ -253,7 +260,8 @@ def _best_augmenting_path(
     smask: int,
 ) -> tuple[Fraction, int, tuple[int, ...]] | None:
     """Minimum (total length, hop count, lexicographic node sequence)
-    source→sink walk in the exchange graph of the current set.
+    source→sink walk in the exchange graph of the current set, whose
+    mask smask also holds any base set outside elems.
 
     Node length is −w outside the set, +w inside; sources are elements
     addable in the first matroid, sinks addable in the second.  The

@@ -1,59 +1,25 @@
 """The 2-approximation that seeds α, the per-class assembly of the
-representative set, and the residual-tail solve that the 2-approximation
-shares with the scheme's prefix enumeration."""
+representative set, and `checked_key`, the check and order that the
+2-approximation shares with the scheme's prefix enumeration.  Both solve
+their residuals with `lagrangian.residual_tail`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import CapacityError, InputError, InvariantError
+from .errors import InputError, InvariantError
 from .exchange import exset_matching, exset_matroid_intersection
-from .lagrangian import choose_strategy, non_profitable_solve
+from .lagrangian import residual_tail
 from .model import (
     BCInstance,
     ProfitClassing,
     SchemeParams,
     Solution,
     profit_classes,
-    residual_over,
     scheme_params,
 )
-from .oracles import brute_force_opt, exhaustive_search, iter_solutions
-
-
-def residual_tail(
-    inst: BCInstance,
-    pinned: tuple[int, ...],
-    pool: Sequence[int],
-    strategy: str = "auto",
-    max_exhaustive: int = 24,
-) -> tuple[int, ...]:
-    """Sorted ids of `non_profitable_solve(residual_over(inst, pinned,
-    pool), strategy, max_exhaustive)`.
-
-    pinned is a sorted solution of inst and pool ascending ids of inst;
-    neither is checked, so callers check F ∪ tail (`checked_key`).  The
-    residual's size n is that of `residual_over`: the pool's
-    `survivors` of F.  An exhaustive solve runs on inst's own tables
-    from F's walk state and builds no residual; only the Lagrangian
-    strategy does.
-    """
-    constraint = inst.constraint
-    base = constraint.state_of(pinned)
-    keep = constraint.survivors(base, pool)
-    n = len(keep)
-    strategy = choose_strategy(strategy, n, max_exhaustive)
-    if n == 0:
-        return ()
-    if strategy == "lagrangian":
-        sub = residual_over(inst, pinned, pool)
-        return non_profitable_solve(sub, strategy, max_exhaustive).ids
-    if n > max_exhaustive:
-        raise CapacityError(f"brute force over {n} elements (bound {max_exhaustive})")
-    budget = inst.int_budget - sum(inst.int_cost[e] for e in pinned)
-    return exhaustive_search(inst, keep, base, budget)[1]
+from .oracles import brute_force_opt, iter_solutions
 
 
 def checked_key(

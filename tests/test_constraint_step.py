@@ -1,8 +1,8 @@
 """The constraint step that every walk and residual shares: `state_of`,
-`extend` and `survivors` on both constraint classes, checked against
-the whole-set predicate `feasible_mask` and the residual builder
-`residual_over`; and `two_approx`, whose empty prefix now goes through
-the same residual solve as every other prefix."""
+`extend`, `join` and `survivors` on both constraint classes, checked
+against the whole-set predicate `feasible_mask` and the reference
+residual builder `reference_residual`; and `two_approx`, whose empty
+prefix goes through the same residual solve as every other prefix."""
 
 import importlib
 import pathlib
@@ -12,9 +12,12 @@ from fractions import Fraction
 import pytest
 
 import bcopt as B
-from bcopt.model import better, residual_over
+from util import reference_residual
 
+# not `import bcopt.repset`: the package's `repset` function shadows
+# the module as an attribute
 R = importlib.import_module("bcopt.repset")
+L = importlib.import_module("bcopt.lagrangian")
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
 
 
@@ -43,9 +46,9 @@ def mask(ids):
 
 @pytest.mark.parametrize("name,inst", INSTANCES, ids=IDS)
 def test_extend_agrees_with_feasible_mask(name, inst):
-    """Grow sets one element at a time in random orders: extend refuses
-    exactly the elements that make the set infeasible, and the state it
-    returns is the state of the grown set."""
+    """Grow sets one element at a time in random orders: extend and join
+    refuse exactly the elements that make the set infeasible, and the
+    state they return is the state of the grown set."""
     c = inst.constraint
     rng = random.Random(name)
     refused = accepted = 0
@@ -58,6 +61,9 @@ def test_extend_agrees_with_feasible_mask(name, inst):
             nxt = c.extend(state, e)
             ok = c.feasible_mask(mask(chosen + [e]))
             assert (nxt is not None) == ok, (chosen, e)
+            # join grows the state by a whole set as extend does by one
+            assert c.join(state, 1 << e) == nxt
+            assert c.join(c.state_of(()), mask(chosen + [e])) == nxt
             if ok:
                 chosen.append(e)
                 assert nxt == c.state_of(chosen)
@@ -88,7 +94,7 @@ def test_survivors_are_the_residual_ids(name, inst):
             pools.append([e for e in inst.ids if P[e] <= cut])
         for pool in pools:
             kept = c.survivors(state, pool)
-            assert tuple(kept) == residual_over(inst, pinned, pool).ids
+            assert tuple(kept) == reference_residual(inst, pinned, pool).ids
             assert not set(kept) & set(pinned)
             if c.kind == "matching":
                 # BM drops every edge that cannot join the matching
@@ -106,27 +112,32 @@ def reference_two_approx(inst, solve):
     for pinned in B.iter_solutions(inst, max_size=4):
         if pinned:
             t = min(P[e] for e in pinned)
-            sub = residual_over(inst, pinned, [e for e in inst.ids if P[e] <= t])
+            sub = reference_residual(inst, pinned, [e for e in inst.ids if P[e] <= t])
             tail = solve(sub).ids
         else:
             tail = solve(inst).ids
-        best = better(best, B.Solution.of(inst, set(pinned) | set(tail)))
+        sol = B.Solution.of(inst, set(pinned) | set(tail))
+        best = sol if best is None else min(best, sol, key=B.Solution.key)
     return best
 
 
 @pytest.mark.parametrize("name,inst", INSTANCES, ids=IDS)
 def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypatch):
     solve = B.non_profitable_solve
+    tail = L.residual_tail
     calls = []
-    monkeypatch.setattr(R, "non_profitable_solve",
+    pins = []
+    monkeypatch.setattr(L, "non_profitable_solve",
                         lambda sub, *a: calls.append(sub) or solve(sub, *a))
+    monkeypatch.setattr(R, "residual_tail",
+                        lambda inst, f, *a: pins.append(f) or tail(inst, f, *a))
     # a fresh copy: two_approx caches its result on the instance
     copy = B.BCInstance(inst.elements, inst.constraint, inst.budget)
     sol, alpha = B.two_approx(copy)
     assert sol == reference_two_approx(B.BCInstance(copy.elements, copy.constraint,
                                                     copy.budget), solve)
     assert alpha == sol.profit
-    assert all(sub is not copy for sub in calls)
-    if copy.n <= 24:
-        # every residual is exhaustive and solved in place
-        assert calls == []
+    # every prefix, the empty one included, is a residual solved in place
+    assert calls == []
+    assert pins[0] == ()
+    assert pins == list(B.iter_solutions(copy, max_size=4))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcopt as B
-from bcopt.errors import DegenerateAlpha, InputError
-from bcopt.model import better
+from bcopt.errors import DegenerateAlpha, InputError, InvariantError
+from bcopt.repset import checked_key
+
+STRATEGIES = ("auto", "exhaustive", "lagrangian")
 
 
 def make_bm(profits, costs, budget, ends, num_vertices=None):
@@ -171,15 +174,15 @@ def test_low_profit_ids(fig1):
 
 
 def test_residual_matching(fig1):
-    sub = B.residual(fig1, F(1, 2), F(4), [0])
-    # pinning edge a removes its vertices 1 and 2, so b and d vanish;
+    low = B.low_profit_ids(fig1, F(1, 2), F(4))
+    c = fig1.constraint
+    # pinning edge a covers its vertices 1 and 2, so b and d drop out;
     # only c survives of the low-profit edges {c, d}
-    assert sub.ids == (2,)
-    assert sub.budget == F(1)
-    assert sub.derived
-    assert sub.profit[2] == F(1)
-    t = B.brute_force_opt(sub)
-    assert B.feasible(fig1, set(t.ids) | {0})
+    assert c.survivors(c.state_of([0]), low) == [2]
+    for strategy in STRATEGIES:
+        tail = B.residual_tail(fig1, (0,), low, strategy)
+        assert tail == (2,)
+        assert B.feasible(fig1, set(tail) | {0})
 
 
 def test_residual_shares_the_parent_tables(fig1, monkeypatch):
@@ -187,18 +190,13 @@ def test_residual_shares_the_parent_tables(fig1, monkeypatch):
         raise AssertionError("a residual must not run BCInstance.__init__")
 
     monkeypatch.setattr(B.BCInstance, "__init__", no_rebuild)
-    sub = B.residual(fig1, F(1, 2), F(11), [0])
-    assert sub.derived and not fig1.derived
-    assert sub.ids == (2,)
-    assert sub.elements[0] is fig1.elements[2]
-    assert sub.int_profit is fig1.int_profit and sub.int_cost is fig1.int_cost
-    assert sub.profit == {2: F(1)} and sub.cost == {2: fig1.cost[2]}
-    assert sub.budget == fig1.budget - fig1.cost[0]
-    assert B.Solution.of(sub, [2]).profit == F(1)
-    # the shared tables hold element 0 too, but it is not the residual's
-    for ask in (sub.profit_of, sub.cost_of, sub.is_solution):
-        with pytest.raises(InputError):
-            ask([0])
+    # residuals are solved on fig1's own tables under every strategy;
+    # the tail's profit and cost come from them
+    for strategy in STRATEGIES:
+        tail = B.residual_tail(fig1, (0,), fig1.ids, strategy)
+        assert tail == (2,)
+        assert B.Solution.of(fig1, tail).profit == F(1)
+    assert B.non_profitable_solve(fig1).ids == (0, 2)
     with pytest.raises(InputError):
         fig1.cost_of([9])
 
@@ -209,40 +207,54 @@ def test_derived_keyword_is_gone(fig1):
 
 
 def test_residual_keeps_parent_ids(fig2):
-    sub = B.residual(fig2, F(1, 2), F(8), [0])
-    assert sub.ids == (1, 2, 3)
-    # element 1 shares the pinned element's partition block: still in the
-    # ground set, never extendable
-    assert not sub.constraint_ok([1])
-    assert sub.constraint_ok([2])
+    low = B.low_profit_ids(fig2, F(1, 2), F(8))
+    c = fig2.constraint
+    state = c.state_of([0])
+    # element 1 shares the pinned element's partition block: it survives
+    # with its own id, and no step from F's state takes it
+    assert c.survivors(state, low) == [1, 2, 3]
+    assert c.extend(state, 1) is None
+    assert c.extend(state, 2) is not None
+    for strategy in STRATEGIES:
+        assert B.residual_tail(fig2, (0,), low, strategy) == (2,)
 
 
 def test_residual_rejects_bad_pins(fig1):
+    # residual_tail trusts its prefix; checked_key checks F ∪ tail whole
+    assert checked_key(fig1, (0,), (2,)) == (-11, (0, 2))
+    with pytest.raises(InvariantError):
+        checked_key(fig1, (0, 1), ())                   # not a matching
     with pytest.raises(InputError):
-        B.residual(fig1, F(1, 2), F(11), [0, 1])       # not a matching
-    with pytest.raises(InputError):
-        B.residual(fig1, F(1, 2), F(11), [9])          # unknown id
+        checked_key(fig1, (9,), ())                     # unknown id
     tight = B.BCInstance(fig1.elements, fig1.constraint, F(0))
-    with pytest.raises(InputError):
-        B.residual(tight, F(1, 2), F(11), [0])         # over budget
+    with pytest.raises(InvariantError):
+        checked_key(tight, (0,), ())                    # over budget
 
 
-def test_residual_solutions_lift(fig1):
-    # any residual solution unions with the pin into a parent solution
-    for pin in ([], [0], [2], [0, 2]):
-        if not B.feasible(fig1, pin):
-            continue
-        sub = B.residual(fig1, F(1, 2), F(11), pin)
-        for ids in B.iter_solutions(sub):
-            assert B.feasible(fig1, set(ids) | set(pin))
+def test_residual_solutions_lift(fig1, fig2):
+    # a set S of survivors solves F's residual (join from F's state, cost
+    # within β − c(F)) exactly when F ∪ S solves the instance
+    for inst in (fig1, fig2):
+        c = inst.constraint
+        C = inst.int_cost
+        for pin in B.iter_solutions(inst):
+            state = c.state_of(pin)
+            budget = inst.int_budget - sum(C[e] for e in pin)
+            kept = c.survivors(state, inst.ids)
+            for k in range(len(kept) + 1):
+                for s in itertools.combinations(kept, k):
+                    fits = sum(C[e] for e in s) <= budget and (
+                        c.join(state, inst.mask_of(s)) is not None
+                    )
+                    assert fits == B.feasible(inst, set(s) | set(pin)), (pin, s)
 
 
 def test_solution_ordering():
     a = B.Solution(ids=(0, 2), profit=F(5), cost=F(2), feasible=True)
     b = B.Solution(ids=(1, 3), profit=F(5), cost=F(2), feasible=True)
     c = B.Solution(ids=(4,), profit=F(7), cost=F(1), feasible=True)
-    assert better(a, b) is a
-    assert better(b, a) is a
-    assert better(a, c) is c
-    assert better(None, a) is a
-    assert better(a, None) is a
+    # profit descending, then the lexicographically smallest ids
+    assert a.key() < b.key()
+    assert c.key() < a.key()
+    assert min([b, a, c], key=B.Solution.key) is c
+    assert sorted([c, b, a], key=B.Solution.key) == [c, a, b]

@@ -140,6 +140,24 @@ def test_max_weight_matching_drops_nonpositive():
     assert got == frozenset()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_max_weight_matching_takes_the_weighted_edges(seed):
+    # a residual passes weights for its surviving edges only: the result
+    # is the matching of the graph restricted to them
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=8, max_edges=12)
+    keep = [e for e in g.edge_ids if rng.random() < 0.6]
+    w = {e: F(rng.randint(-3, 12)) for e in keep}
+    assert B.max_weight_matching(g, w) == B.max_weight_matching(g.restrict(keep), w)
+
+
+def test_max_weight_matching_rejects_unknown_edges():
+    g = B.Graph(2, {0: (0, 1)})
+    with pytest.raises(InputError):
+        B.max_weight_matching(g, {0: F(1), 5: F(1)})
+
+
 TIE_HEAVY = (F(-1), F(0), F(1, 2), F(1), F(1), F(3, 2), F(2))
 
 
@@ -241,6 +259,35 @@ def test_mi_extreme_chain_breaks_label_ties_by_sequence(monkeypatch):
     w = {e: F(1) for e in range(7)}
     assert oracles._best_augmenting_path(m1, m2, w, range(7), 0b111) == (F(-1), 2, (3, 2, 5))
     assert B.mi_extreme_chain(m1, m2, w) == _reference_chain(monkeypatch, m1, m2, w)
+
+
+@pytest.mark.parametrize(
+    "kinds", list(itertools.product(BI_KINDS, repeat=2)), ids="-".join
+)
+def test_mi_extreme_chain_from_a_base_is_the_contracted_chain(kinds):
+    """The chain grown from a common independent set F's mask, over the
+    elements outside F, is the chain of both matroids contracted by F
+    and restricted to those elements."""
+    grown = 0
+    for n in range(4, 11):
+        inst = B.random_bi(n, n=n, kinds=kinds)
+        c = inst.constraint
+        for pinned in list(B.iter_solutions(inst, max_size=2))[1::2]:
+            keep = [e for e in inst.ids if e not in pinned]
+            m1 = B.restrict(B.thin(c.m1, pinned), keep)
+            m2 = B.restrict(B.thin(c.m2, pinned), keep)
+            for lam in (F(0), F(1, 2)):
+                w = relaxation_weights(inst, lam, keep)
+                chain = B.mi_extreme_chain(c.m1, c.m2, w, inst.mask_of(pinned))
+                assert chain == B.mi_extreme_chain(m1, m2, w)
+                grown += len(chain) > 1
+    assert grown
+
+
+def test_mi_extreme_chain_rejects_weights_on_the_base():
+    m = B.UniformMatroid(range(3), 2)
+    with pytest.raises(InputError):
+        B.mi_extreme_chain(m, m, {0: F(1), 1: F(1)}, base=0b1)
 
 
 def test_mi_extreme_chain_returns_on_non_matroid_family():

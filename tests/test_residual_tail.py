@@ -1,12 +1,13 @@
-"""The in-place residual tail (`repset.residual_tail`) against the
-reference path it replaces: a residual instance built by `residual_over`
-and solved by `non_profitable_solve`, at the sizes of the `scale`
-benchmark (BM with 10-12 vertices, BI pairs ∩ uniform with n 12-16)."""
+"""The in-place residual tail (`lagrangian.residual_tail`) against the
+reference path it replaces: a residual instance built by
+`reference_residual` and solved by `non_profitable_solve`, at the sizes
+of the `scale` benchmark (BM with 10-12 vertices, BI pairs ∩ uniform
+with n 12-16), and on instances with zero-cost elements."""
 
-import importlib
 import itertools
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,11 @@ import bcopt as B
 import bcopt.driver as D
 from bcopt.errors import CapacityError
 from bcopt.graphs import Graph
+from bcopt.lagrangian import residual_tail
 from bcopt.matroids import Matroid
-from bcopt.model import BCInstance, better, residual_over
-from bcopt.repset import residual_tail
+from bcopt.model import BCInstance
+from util import reference_residual
 
-# not `import bcopt.repset`: the package's `repset` function shadows
-# the module as an attribute
-R = importlib.import_module("bcopt.repset")
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
 
 STRATEGIES = ("auto", "exhaustive", "lagrangian")
@@ -55,8 +54,24 @@ def outcome(solve):
 
 
 def reference(inst, pinned, pool, strategy, max_exhaustive):
-    sub = residual_over(inst, pinned, pool)
+    sub = reference_residual(inst, pinned, pool)
     return B.non_profitable_solve(sub, strategy, max_exhaustive).ids
+
+
+def counting_builds(monkeypatch):
+    """Count every Graph, Matroid and BCInstance built from now on."""
+    counts = Counter()
+
+    def counting(key, fn):
+        def wrapper(self, *a, **k):
+            counts[key] += 1
+            return fn(self, *a, **k)
+
+        return wrapper
+
+    for cls, key in ((Graph, "graph"), (Matroid, "matroid"), (BCInstance, "instance")):
+        monkeypatch.setattr(cls, "__init__", counting(key, cls.__init__))
+    return counts
 
 
 def every(it, step):
@@ -83,13 +98,10 @@ def cases(inst):
 @pytest.mark.parametrize("name,inst", INSTANCES, ids=[n for n, _ in INSTANCES])
 def test_residual_tail_matches_reference(name, inst, monkeypatch):
     todo = cases(inst)
-    built = []
-    monkeypatch.setattr(R, "residual_over",
-                        lambda *a: built.append(a) or residual_over(*a))
-    want_built = 0
+    counts = counting_builds(monkeypatch)
     large = dependent = 0
     for pinned, pool in todo:
-        n = residual_over(inst, pinned, pool).n
+        n = reference_residual(inst, pinned, pool).n
         large += n > 24
         if inst.constraint.kind == "matroid_intersection":
             f = inst.mask_of(pinned)
@@ -98,18 +110,63 @@ def test_residual_tail_matches_reference(name, inst, monkeypatch):
                 for e in pool if e not in pinned
             )
         for strategy, cap in [(s, 24) for s in STRATEGIES] + [("exhaustive", 6)]:
+            built = sum(counts.values())
             got = outcome(lambda: residual_tail(inst, pinned, pool, strategy, cap))
+            # no branch builds a residual: every solve runs in place
+            assert sum(counts.values()) == built
             want = outcome(lambda: reference(inst, pinned, pool, strategy, cap))
             assert got == want, (pinned, strategy, cap)
-            # only the Lagrangian branch builds a residual
-            want_built += n > 0 and (
-                strategy == "lagrangian" or strategy == "auto" and n > cap
-            )
-    assert len(built) == want_built
     if name == "bm12":
         assert large, "no residual past the exhaustive gate"
     if name.startswith("bi"):
         assert dependent, "no pool element dependent with its prefix"
+
+
+def zero_cost_bm(seed):
+    """A random BM on 10 vertices with about a third of its costs 0."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(10) for v in range(u + 1, 10) if rng.random() < 0.4]
+    els = [B.Element(i, rng.randint(1, 20), rng.choice([0, 0, *range(1, 13)]))
+           for i in range(len(pairs))]
+    graph = B.Graph(10, dict(enumerate(pairs)))
+    total = sum(e.cost for e in els)
+    return B.BCInstance(els, B.MatchingConstraint(graph), Fraction(total, 3))
+
+
+def zero_cost_bi(seed, n):
+    """bi_pairs with about a third of its costs 0."""
+    inst = bi_pairs(seed, n)
+    rng = random.Random(seed)
+    els = [B.Element(e.id, e.profit, rng.choice([0, 0, *range(1, 13)]))
+           for e in inst.elements]
+    total = sum(e.cost for e in els)
+    return B.BCInstance(els, inst.constraint, Fraction(total, 3))
+
+
+ZERO_COST = [
+    ("bm_a", zero_cost_bm(21)),
+    ("bm_b", zero_cost_bm(22)),
+    ("bi12", zero_cost_bi(23, 12)),
+    ("bi16", zero_cost_bi(24, 16)),
+]
+
+
+@pytest.mark.parametrize("name,inst", ZERO_COST, ids=[n for n, _ in ZERO_COST])
+def test_lagrangian_tail_with_zero_cost_elements(name, inst):
+    """F ≠ ∅ and zero-cost pool elements dependent on F: the relaxation's
+    zero-cost completion must run from F's state, or it adds an element
+    that F ∪ tail cannot hold."""
+    c = inst.constraint
+    C = inst.int_cost
+    dependent_zero = 0
+    for pinned in list(B.iter_solutions(inst, max_size=2))[1::3]:
+        state = c.state_of(pinned)
+        pool = [e for e in inst.ids if e not in pinned]
+        dependent_zero += any(C[e] == 0 and c.extend(state, e) is None for e in pool)
+        got = residual_tail(inst, pinned, pool, "lagrangian")
+        assert got == reference(inst, pinned, pool, "lagrangian", 24), pinned
+        assert B.feasible(inst, set(pinned) | set(got))
+    assert dependent_zero, "no zero-cost element dependent on its prefix"
 
 
 def reference_eptas(inst, strategy, max_exhaustive):
@@ -119,7 +176,7 @@ def reference_eptas(inst, strategy, max_exhaustive):
     fallbacks = 0
     records = []
     for pinned in B.iter_solutions(inst, candidates=sorted(rep.union), max_size=16):
-        sub = residual_over(inst, pinned, low)
+        sub = reference_residual(inst, pinned, low)
         try:
             tail = B.non_profitable_solve(sub, strategy, max_exhaustive)
             fallback = False
@@ -128,7 +185,7 @@ def reference_eptas(inst, strategy, max_exhaustive):
             fallback = True
             fallbacks += 1
         combined = B.Solution.of(inst, set(pinned) | set(tail.ids))
-        best = better(best, combined)
+        best = min(best, combined, key=B.Solution.key)
         records.append((pinned, tail.ids, combined, fallback))
     return best, fallbacks, records
 
@@ -152,11 +209,12 @@ def reference_two_approx(inst):
     for pinned in B.iter_solutions(inst, max_size=4):
         if pinned:
             t = min(P[e] for e in pinned)
-            sub = residual_over(inst, pinned, [e for e in inst.ids if P[e] <= t])
+            sub = reference_residual(inst, pinned, [e for e in inst.ids if P[e] <= t])
             tail = B.non_profitable_solve(sub).ids
         else:
             tail = B.non_profitable_solve(inst).ids
-        best = better(best, B.Solution.of(inst, set(pinned) | set(tail)))
+        sol = B.Solution.of(inst, set(pinned) | set(tail))
+        best = sol if best is None else min(best, sol, key=B.Solution.key)
     return best
 
 
@@ -169,27 +227,40 @@ def test_two_approx_matches_reference(name, inst):
     assert alpha == sol.profit
 
 
-def test_exhaustive_residuals_build_nothing(monkeypatch):
-    """`eptas_run` at ε = 1/16 on a corpus BM and a corpus BI file builds
-    no Graph, no matroid and no instance once the representative set is
-    known: every residual there is solved exhaustively, in place."""
-    counts = {"graph": 0, "matroid": 0, "instance": 0}
-
-    def counting(key, fn):
-        def wrapper(self, *a, **k):
-            counts[key] += 1
-            return fn(self, *a, **k)
-
-        return wrapper
-
+def residual_builds(monkeypatch, strategy, eps):
+    """Graphs, matroids and instances that `eptas_run` builds on a corpus
+    BM and a corpus BI file once the representative set is known, and
+    the number of nonempty tails per file."""
+    total = Counter()
+    tails = []
     for name in ("bm_007.json", "bi_004.json"):
         inst = B.load_instance(str(CORPUS / name))
-        rep = B.repset(inst, EPS)
+        rep = B.repset(inst, eps)
         with monkeypatch.context() as m:
             m.setattr(D, "repset", lambda *a, **k: rep)
-            m.setattr(Graph, "__init__", counting("graph", Graph.__init__))
-            m.setattr(Matroid, "__init__", counting("matroid", Matroid.__init__))
-            m.setattr(BCInstance, "_assign", counting("instance", BCInstance._assign))
-            run = B.eptas_run(inst, EPS, max_exhaustive=24)
+            counts = counting_builds(m)
+            run = B.eptas_run(inst, eps, strategy=strategy, max_exhaustive=24,
+                              collect=True)
         assert run.enumerated > 1
+        tails.append(sum(1 for r in run.records if r.tail))
+        total.update(counts)
+    return {key: total[key] for key in ("graph", "matroid", "instance")}, tails
+
+
+def test_exhaustive_residuals_build_nothing(monkeypatch):
+    """Every residual is solved exhaustively, in place.  At ε = 1/16
+    bm_007 has no low-profit element, so its residuals are all empty;
+    at ε = 1/4 both files have residuals with tails."""
+    for eps in (EPS, Fraction(1, 4)):
+        counts, tails = residual_builds(monkeypatch, "auto", eps)
         assert counts == {"graph": 0, "matroid": 0, "instance": 0}
+    assert all(tails)
+
+
+def test_lagrangian_residuals_build_nothing(monkeypatch):
+    """At ε = 1/4, where both files have residuals with tails, every
+    residual is solved by Lagrangian search and patching, in place: no
+    restricted graph, no contracted matroid, no instance."""
+    counts, tails = residual_builds(monkeypatch, "lagrangian", Fraction(1, 4))
+    assert all(tails)
+    assert counts == {"graph": 0, "matroid": 0, "instance": 0}

@@ -134,3 +134,51 @@ def test_solution_to_dict(fig1):
     sol = B.brute_force_opt(fig1)
     d = B.solution_to_dict(sol)
     assert d == {"ids": [0, 2], "profit": "11", "cost": "2", "feasible": True}
+
+
+def _bi(elements, m1, m2, budget=F(1)):
+    return B.BCInstance(elements, B.MatroidIntersectionConstraint(m1, m2), budget)
+
+
+def _els(ids):
+    return [B.Element(i, F(1), F(1)) for i in ids]
+
+
+U2 = B.UniformMatroid(range(2), 1)
+
+# Each builds an instance or oracle with one integer given as a bool.
+# True and False are ints to Python, but JSON writes them as booleans
+# and the loader rejects those: `"rank": true` never loads back.
+BOOL_INPUTS = {
+    "element id": lambda: _bi(_els([False, 1]), U2, U2),
+    "vertex count": lambda: B.Graph(True, {}),
+    "edge id": lambda: B.Graph(2, {True: (0, 1)}),
+    "edge endpoint": lambda: B.Graph(2, {0: (False, 1)}),
+    "matroid element id": lambda: B.UniformMatroid([False, 1], 1),
+    "uniform rank": lambda: B.UniformMatroid(range(2), True),
+    "partition capacity": lambda: B.PartitionMatroid(range(2), [[0, 1]], [True]),
+    "truncation limit": lambda: B.truncate(U2, True),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BOOL_INPUTS))
+def test_bools_are_not_integers(what):
+    with pytest.raises(InputError):
+        BOOL_INPUTS[what]()
+
+
+def test_integer_inputs_round_trip():
+    """The instances of BOOL_INPUTS with 0 and 1 in place of the bools
+    dump without a JSON boolean and load back equal."""
+    g = B.Graph(3, {0: (0, 1), 1: (1, 2)})
+    instances = [
+        _bi(_els([0, 1]), U2, U2),
+        _bi(_els([0, 1]), B.UniformMatroid(range(2), 1),
+            B.PartitionMatroid(range(2), [[0, 1]], [1])),
+        B.BCInstance(_els([0, 1]), B.MatchingConstraint(g), F(1)),
+    ]
+    for inst in instances:
+        text = B.canonical_json(B.instance_to_dict(inst))
+        assert "true" not in text and "false" not in text
+        assert B.instance_from_dict(json.loads(text)) == inst
+    assert B.truncate(U2, 1).limit == 1

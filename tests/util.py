@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import bcopt as B
+from bcopt.matroids import restrict, thin
 
 
 def all_independent_sets(matroid):
@@ -140,3 +141,39 @@ def reference_best_augmenting_path(m1, m2, w, elems, smask):
         if not dp:
             break
     return best
+
+
+def reference_residual(inst, pinned, pool):
+    """The residual of a solution F = pinned of inst over a ground pool,
+    built as an instance of its own, as the library did before it solved
+    residuals in place: the pool elements outside F that F leaves
+    feasible for a matching (every pool element outside F for matroids),
+    the graph restricted to them or both matroids contracted by F and
+    restricted to them, and the budget β − c(F).  It keeps inst's ids,
+    Element objects, integer tables and scales, so its integers compare
+    directly with inst's; BCInstance.__init__ never runs, as it would
+    renumber the ids."""
+    pinned = tuple(sorted(set(pinned)))
+    c = inst.constraint
+    if c.kind == "matching":
+        covered = {v for e in pinned for v in c.graph.edge_ends[e]}
+        keep = [e for e in pool if not covered & set(c.graph.edge_ends[e])]
+        constraint = B.MatchingConstraint(c.graph.restrict(keep))
+    else:
+        keep = [e for e in pool if e not in pinned]
+        constraint = B.MatroidIntersectionConstraint(
+            restrict(thin(c.m1, pinned), keep), restrict(thin(c.m2, pinned), keep)
+        )
+    sub = object.__new__(B.BCInstance)
+    sub._sp, sub._sc = inst._sp, inst._sc
+    sub.int_profit, sub.int_cost = inst.int_profit, inst.int_cost
+    sub.elements = tuple(inst.elements[e] for e in sorted(keep))
+    sub.constraint = constraint
+    sub.int_budget = inst.int_budget - sum(inst.int_cost[e] for e in pinned)
+    sub.budget = Fraction(sub.int_budget, inst._sc)
+    sub.ids = tuple(e.id for e in sub.elements)
+    sub.id_set = frozenset(sub.ids)
+    sub.profit = {e.id: e.profit for e in sub.elements}
+    sub.cost = {e.id: e.cost for e in sub.elements}
+    sub._cache = {}
+    return sub

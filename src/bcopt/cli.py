@@ -473,12 +473,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     eps_tokens = [tok.strip() for tok in args.epsilons.split(",") if tok.strip()]
     if not eps_tokens:
         raise InputError("--epsilons must list at least one value")
-    eps_values = [(tok, parse_rational(tok)) for tok in eps_tokens]
+    # checked before any row, so a bad value fails even with no files
+    for tok in eps_tokens:
+        _solve_epsilon(tok)
     files = _bench_files(args.paths)
     tasks = [
         (path, tok, args.max_exhaustive, args.timings)
         for path in files
-        for tok, _ in eps_values
+        for tok in eps_tokens
     ]
     workers = min(args.jobs, len(tasks))
     if workers > 1:

@@ -1,6 +1,7 @@
 """Top-level approximation scheme: enumerate profitable prefixes from
-the representative set, solve each residual with the non-profitable
-solver, return the best combination."""
+the representative set, solve with the non-profitable solver each
+residual whose ceiling can beat the best so far, return the best
+combination."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from .errors import InputError
 from .lagrangian import residual_tail
 from .model import BCInstance, Solution, low_profit_ids, _rat
 from .oracles import iter_solutions
-from .repset import RepSetResult, checked_key, repset
+from .repset import RepSetResult, ceiling, checked_key, repset
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,11 @@ def eptas_run(
     non-profitable solver.  Under strategy="exhaustive" a residual with
     more survivors than max_exhaustive is solved as "auto" instead, which
     the gate sends to the Lagrangian path, and is counted as a fallback.
+
+    Every prefix is enumerated and counted, fallbacks included, but
+    unless collect asks for every record, a prefix whose p(F) plus its
+    `ceiling` over E(α) is below the best profit so far is not solved:
+    no tail of it can win, so the solution is unchanged.
     """
     rep = repset(inst, eps, alpha_mode=alpha_mode)
     eps = rep.params.epsilon
@@ -60,14 +66,22 @@ def eptas_run(
     enumerated = 0
     fallbacks = 0
     low = low_profit_ids(inst, eps, alpha)
+    P, C = inst.int_profit, inst.int_cost
+    desc = sorted(low, key=lambda e: (-P[e], e))
     c = inst.constraint
     for pinned in iter_solutions(inst, candidates=sorted(rep.union), max_size=cap):
         enumerated += 1
+        state = c.state_of(pinned)
         # an empty residual needs no solve, whatever the gate
         fallback = strategy == "exhaustive" and (
-            len(c.survivors(c.state_of(pinned), low)) > max(max_exhaustive, 0)
+            len(c.survivors(state, low)) > max(max_exhaustive, 0)
         )
         fallbacks += fallback
+        if not collect:
+            need = -best[0] - sum(P[e] for e in pinned)
+            budget = inst.int_budget - sum(C[e] for e in pinned)
+            if ceiling(inst, state, desc, budget, need) < need:
+                continue
         tail = residual_tail(
             inst, pinned, low, "auto" if fallback else strategy, max_exhaustive
         )

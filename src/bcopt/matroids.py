@@ -76,6 +76,17 @@ class Matroid:
     def _indep_mask(self, mask: int) -> bool:
         raise NotImplementedError
 
+    def full_rank(self) -> int:
+        """An upper bound on the size of every independent set: the size
+        of a greedy basis, exact on a matroid, where every maximal
+        independent set is a basis.  ExplicitMatroid and the wrappers
+        override it so that it bounds families that are no matroid."""
+        chosen = 0
+        for e in self.ground_list:
+            if self.independent_mask(chosen | (1 << e)):
+                chosen |= 1 << e
+        return chosen.bit_count()
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} kind={self.kind} n={len(self.ground)}>"
 
@@ -345,6 +356,12 @@ class ExplicitMatroid(Matroid):
         assert self.maximal_masks is not None
         return any(not mask & ~mm for mm in self.maximal_masks)
 
+    def full_rank(self) -> int:
+        """Size of the largest listed set, exact whether or not the
+        family is a matroid (a greedy basis may stop short off one)."""
+        masks = self._table if self._table is not None else self.maximal_masks
+        return max((m.bit_count() for m in masks), default=0)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExplicitMatroid):
             return NotImplemented
@@ -365,6 +382,11 @@ class _Restriction(Matroid):
     def _indep_mask(self, mask: int) -> bool:
         return self.parent.independent_mask(mask)
 
+    # each wrapper bounds full_rank by its parent's, which holds when the
+    # parent is no matroid
+    def full_rank(self) -> int:
+        return self.parent.full_rank()
+
 
 class _Thinning(Matroid):
     """Contraction by an independent set F: S independent here iff
@@ -380,6 +402,9 @@ class _Thinning(Matroid):
     def _indep_mask(self, mask: int) -> bool:
         return self.parent.independent_mask(mask | self.fmask)
 
+    def full_rank(self) -> int:
+        return self.parent.full_rank() - self.fmask.bit_count()
+
 
 class _Truncation(Matroid):
     kind = "truncation"
@@ -391,6 +416,9 @@ class _Truncation(Matroid):
 
     def _indep_mask(self, mask: int) -> bool:
         return mask.bit_count() <= self.limit and self.parent.independent_mask(mask)
+
+    def full_rank(self) -> int:
+        return min(self.limit, self.parent.full_rank())
 
 
 def restrict(matroid: Matroid, keep: Iterable[int]) -> Matroid:

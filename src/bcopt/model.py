@@ -75,6 +75,10 @@ class MatchingConstraint:
         vm = self._vm
         return [e for e in pool if not vm[e] & state]
 
+    def room(self, state: int) -> int:
+        """Edges a matching can still add: two uncovered vertices each."""
+        return (self.graph.num_vertices - state.bit_count()) // 2
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchingConstraint):
             return NotImplemented
@@ -98,6 +102,7 @@ class MatroidIntersectionConstraint:
         self.ground = m1.ground
         self.ground_list = m1.ground_list
         self.ground_mask = m1.ground_mask
+        self._rank: int | None = None
 
     def feasible_mask(self, mask: int) -> bool:
         return self.m1.independent_mask(mask) and self.m2.independent_mask(mask)
@@ -120,6 +125,14 @@ class MatroidIntersectionConstraint:
         stay, as thinning keeps them; `extend` refuses them."""
         return [e for e in pool if not state >> e & 1]
 
+    def room(self, state: int) -> int:
+        """Elements a common independent set can still add: the smaller
+        largest independent set size, found on the first call, less the
+        set's own size."""
+        if self._rank is None:
+            self._rank = min(self.m1.full_rank(), self.m2.full_rank())
+        return self._rank - state.bit_count()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatroidIntersectionConstraint):
             return NotImplemented
@@ -132,8 +145,9 @@ class MatroidIntersectionConstraint:
 # Every walk and residual steps a constraint the same way.  state_of(F)
 # is the walk state of a feasible set F, extend(state, e) the state of
 # F + e or None when F + e is infeasible, join(state, mask) the same for
-# F ∪ S with S given by its element mask, and survivors(state, pool) the
-# pool elements a residual of F keeps.  A state is a bit mask, and the
+# F ∪ S with S given by its element mask, survivors(state, pool) the
+# pool elements a residual of F keeps, and room(state) an upper bound on
+# |S| for every S that join accepts.  A state is a bit mask, and the
 # state of a feasible F ∪ S is state_of(F) | state_of(S).
 #
 # The residual of F over a pool is solved in place as the triple

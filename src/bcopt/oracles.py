@@ -17,7 +17,10 @@ limit, bound)``:
   and budget pruning).
 - bound(j, state): asked before extend; True cuts pool[j] and every
   later sibling.  The walk is lazy, so a bound may read an incumbent
-  the caller updates while consuming it.
+  the caller updates while consuming it.  `exhaustive_search` bounds
+  by the profit left in the pool; `iter_solutions` asks its caller's
+  cut at a set's first child only, so True drops all of its children
+  (`repset.two_approx` cuts by its profit ceiling).
 - limit: the largest set size.
 
 Each visited set comes out as (prefix, state), prefix being a live list
@@ -84,6 +87,7 @@ def _walk(
 
 
 _IntState = tuple[int, int, int]
+_WalkState = tuple[int, int, int, int]
 
 
 def exhaustive_search(
@@ -146,31 +150,46 @@ def iter_solutions(
     inst: BCInstance,
     candidates: Sequence[int] | None = None,
     max_size: int | None = None,
+    cut: Callable[[int, int, int], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every feasible-and-within-budget subset of the candidate
     ids (default: all elements), in ascending lexicographic order,
     starting with ().  Hereditary pruning keeps the walk proportional to
     the number of feasible sets.  The candidates are a set: an unknown or
-    repeated id raises InputError."""
+    repeated id raises InputError.
+
+    cut(state, cost, profit), when given, is asked once for each yielded
+    set that may have children, after the caller has consumed it, with
+    the set's walk state and its integer cost and profit; True drops
+    every child of the set, so the walk yields an ordered subsequence of
+    the uncut one."""
     pool = sorted(inst.ids if candidates is None else candidates)
     for e in pool:
         if e not in inst.id_set:
             raise InputError(f"unknown element id: {e!r}")
     cost = inst.int_cost
+    profit = inst.int_profit
     budget = inst.int_budget
     constraint = inst.constraint
     step = constraint.extend
 
-    def extend(state: tuple[int, int], j: int) -> tuple[int, int] | None:
-        s, c = state
+    # state: (constraint state, cost, profit, pool index of the first child)
+    def extend(state: _WalkState, j: int) -> _WalkState | None:
+        s, c, p, _ = state
         e = pool[j]
         c += cost[e]
         if c > budget:
             return None
         s = step(s, e)
-        return None if s is None else (s, c)
+        return None if s is None else (s, c, p + profit[e], j + 1)
 
-    walk = _walk(pool, extend, (constraint.state_of(()), 0), limit=max_size)
+    def bound(j: int, state: _WalkState) -> bool:
+        # the walk asks first at the first child; at a later sibling the
+        # cut has already let the children through
+        return j == state[3] and cut(*state[:3])
+
+    root = (constraint.state_of(()), 0, 0, 0)
+    walk = _walk(pool, extend, root, max_size, None if cut is None else bound)
     return (tuple(prefix) for prefix, _ in walk)
 
 

@@ -1,12 +1,14 @@
 """The 2-approximation that seeds α, the per-class assembly of the
-representative set, and `checked_key`, the check and order that the
-2-approximation shares with the scheme's prefix enumeration.  Both solve
-their residuals with `lagrangian.residual_tail`."""
+representative set, and what the 2-approximation shares with the
+scheme's prefix enumeration: `checked_key`, the check and order of a
+candidate, and `ceiling`, the bound that lets both skip a residual
+solve.  Both solve their residuals with `lagrangian.residual_tail`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InputError, InvariantError
 from .exchange import exset_matching, exset_matroid_intersection
@@ -36,6 +38,36 @@ def checked_key(
     return -sum(inst.int_profit[e] for e in ids), ids
 
 
+def ceiling(
+    inst: BCInstance,
+    state: int,
+    desc: Sequence[int],
+    budget: int,
+    need: int | None = None,
+) -> int:
+    """An upper bound on p(T) over the sets T of pool elements that
+    extend a feasible F of walk state `state` within `budget` (β − c(F)
+    on the integer cost scale), so on every tail `residual_tail` returns
+    for F over that pool.
+
+    desc is the pool in (profit desc, id asc) order.  The bound sums the
+    profits of the first `room(state)` of its `survivors` whose own cost
+    fits the budget: T holds at most that many survivors, each no
+    dearer than the whole of T.  With need, the sum stops once it
+    reaches need, so only a result below need is the bound itself."""
+    c = inst.constraint
+    left = c.room(state)
+    P, C = inst.int_profit, inst.int_cost
+    total = 0
+    for e in c.survivors(state, desc):
+        if left <= 0 or (need is not None and total >= need):
+            break
+        if C[e] <= budget:
+            total += P[e]
+            left -= 1
+    return total
+
+
 def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     """A solution S* with OPT/2 ≤ p(S*) ≤ OPT, and α = p(S*).
 
@@ -46,16 +78,39 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     F hits it exactly; otherwise F = its top-4 profits caps the filtered
     maximum at OPT/4 and the Lemma 7 loss at OPT/2.  The value is
     independent of ε, so the result is cached on the instance.
+
+    Only candidates that can beat the incumbent are solved: F's residual
+    is skipped when p(F) plus the `ceiling` over its filtered pool is
+    below the best profit so far, and F's children are not walked when
+    p(F) plus the ceiling over every element is.  Both cuts are strict,
+    so a skipped candidate is worse than the winner, which is unchanged.
     """
     cached = inst._cache.get("two_approx")
     if cached is not None:
         return cached
-    P = inst.int_profit
+    P, C = inst.int_profit, inst.int_cost
+    c = inst.constraint
+    desc = sorted(inst.ids, key=lambda e: (-P[e], e))
     best: tuple[int, tuple[int, ...]] | None = None
-    for pinned in iter_solutions(inst, max_size=4):
+
+    # True when p(F) plus F's ceiling over pool is below the best profit;
+    # the walk asks it as the cut of F's children once F's candidate is
+    # in best, so best is set from the empty prefix on
+    def below(
+        state: int, cost: int, profit: int, pool: Sequence[int] = desc
+    ) -> bool:
+        need = -best[0] - profit
+        return ceiling(inst, state, pool, inst.int_budget - cost, need) < need
+
+    for pinned in iter_solutions(inst, max_size=4, cut=below):
         pool = inst.ids
         if pinned:
             threshold = min(P[e] for e in pinned)
+            state = c.state_of(pinned)
+            cost = sum(C[e] for e in pinned)
+            profit = sum(P[e] for e in pinned)
+            if below(state, cost, profit, [e for e in desc if P[e] <= threshold]):
+                continue
             pool = [e for e in pool if P[e] <= threshold]
         tail = residual_tail(inst, pinned, pool)
         key = checked_key(inst, pinned, tail)

@@ -303,6 +303,14 @@ def test_bench_epsilon_validation(capsys):
     assert run(capsys, ["bench", FIG1, "--epsilons", "0"])[0] == 2
 
 
+@pytest.mark.parametrize("eps", ["7", "0", "1", "-1/2", "x"])
+def test_bench_epsilon_is_checked_without_rows(eps, tmp_path, capsys):
+    """With no instance to build a row from, a bad ε still exits 2."""
+    code, out, _ = run(capsys, ["bench", str(tmp_path), "--epsilons", f"1/2,{eps}"])
+    assert code == 2
+    assert out == ""
+
+
 def test_argparse_exit_codes(capsys):
     assert main([]) == 2
     capsys.readouterr()

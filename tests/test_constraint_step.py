@@ -7,29 +7,17 @@ prefix goes through the same residual solve as every other prefix."""
 import importlib
 import pathlib
 import random
-from fractions import Fraction
 
 import pytest
 
 import bcopt as B
-from util import reference_residual
+from util import bi_pairs, reference_residual
 
 # not `import bcopt.repset`: the package's `repset` function shadows
 # the module as an attribute
 R = importlib.import_module("bcopt.repset")
 L = importlib.import_module("bcopt.lagrangian")
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
-
-
-def bi_pairs(seed, n):
-    """Partition matroid over pairs {2i, 2i+1} (capacity 1) ∩ U(n/4, n)."""
-    rng = random.Random(seed)
-    els = [B.Element(i, rng.randint(1, 20), rng.randint(1, 20)) for i in range(n)]
-    m1 = B.PartitionMatroid(range(n), [[2 * i, 2 * i + 1] for i in range(n // 2)],
-                            [1] * (n // 2))
-    m2 = B.UniformMatroid(range(n), n // 4)
-    total = sum(e.cost for e in els)
-    return B.BCInstance(els, B.MatroidIntersectionConstraint(m1, m2), Fraction(total, 2))
 
 
 INSTANCES = (
@@ -140,4 +128,19 @@ def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypat
     # every prefix, the empty one included, is a residual solved in place
     assert calls == []
     assert pins[0] == ()
-    assert pins == list(B.iter_solutions(copy, max_size=4))
+    # the solved prefixes come in walk order, and a prefix left out cannot
+    # beat α: p(F) plus the ceiling over its threshold pool is below it
+    walk = list(B.iter_solutions(copy, max_size=4))
+    it = iter(walk)
+    assert all(f in it for f in pins)
+    P, C = copy.int_profit, copy.int_cost
+    alpha_int = sum(P[e] for e in sol.ids)
+    desc = sorted(copy.ids, key=lambda e: (-P[e], e))
+    solved = set(pins)
+    for f in walk:
+        if f not in solved:
+            t = min(P[e] for e in f)
+            pool = [e for e in desc if P[e] <= t]
+            bound = R.ceiling(copy, copy.constraint.state_of(f), pool,
+                              copy.int_budget - sum(C[e] for e in f))
+            assert sum(P[e] for e in f) + bound < alpha_int, f

@@ -2,7 +2,9 @@
 reference path it replaces: a residual instance built by
 `reference_residual` and solved by `non_profitable_solve`, at the sizes
 of the `scale` benchmark (BM with 10-12 vertices, BI pairs ∩ uniform
-with n 12-16), and on instances with zero-cost elements."""
+with n 12-16), and on instances with zero-cost elements; and the two
+loops that skip residual solves against reference loops that solve
+every prefix, on planted instances whose residuals pass the gate."""
 
 import itertools
 import pathlib
@@ -19,23 +21,12 @@ from bcopt.graphs import Graph
 from bcopt.lagrangian import residual_tail
 from bcopt.matroids import Matroid
 from bcopt.model import BCInstance
-from util import reference_residual
+from util import bi_pairs, reference_residual
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
 
 STRATEGIES = ("auto", "exhaustive", "lagrangian")
 EPS = Fraction(1, 16)
-
-
-def bi_pairs(seed, n):
-    """Partition matroid over pairs {2i, 2i+1} (capacity 1) ∩ U(n/4, n)."""
-    rng = random.Random(seed)
-    els = [B.Element(i, rng.randint(1, 20), rng.randint(1, 20)) for i in range(n)]
-    m1 = B.PartitionMatroid(range(n), [[2 * i, 2 * i + 1] for i in range(n // 2)],
-                            [1] * (n // 2))
-    m2 = B.UniformMatroid(range(n), n // 4)
-    total = sum(e.cost for e in els)
-    return B.BCInstance(els, B.MatroidIntersectionConstraint(m1, m2), Fraction(total, 2))
 
 
 INSTANCES = [
@@ -169,9 +160,9 @@ def test_lagrangian_tail_with_zero_cost_elements(name, inst):
     assert dependent_zero, "no zero-cost element dependent on its prefix"
 
 
-def reference_eptas(inst, strategy, max_exhaustive):
-    rep = B.repset(inst, EPS)
-    low = B.low_profit_ids(inst, EPS, rep.alpha)
+def reference_eptas(inst, strategy, max_exhaustive, eps=EPS):
+    rep = B.repset(inst, eps)
+    low = B.low_profit_ids(inst, eps, rep.alpha)
     best = B.Solution.of(inst, ())
     fallbacks = 0
     records = []
@@ -224,6 +215,65 @@ def test_two_approx_matches_reference(name, inst):
     copy = B.BCInstance(inst.elements, inst.constraint, inst.budget)
     sol, alpha = B.two_approx(copy)
     assert sol == reference_two_approx(copy)
+    assert alpha == sol.profit
+
+
+def planted_bm(seed, nv=14, edges=40):
+    """A BM with four high-profit edges among many low-profit ones: R
+    stays small while E(α) holds more than 24 edges, so residuals take
+    the Lagrangian path."""
+    rng = random.Random(seed)
+    pairs = rng.sample([(u, v) for u in range(nv) for v in range(u + 1, nv)], edges)
+    top = set(rng.sample(range(edges), 4))
+    els = [B.Element(i, rng.randint(30, 40) if i in top else rng.randint(1, 5),
+                     rng.randint(1, 12)) for i in range(edges)]
+    graph = B.Graph(nv, dict(enumerate(pairs)))
+    total = sum(e.cost for e in els)
+    return B.BCInstance(els, B.MatchingConstraint(graph), Fraction(total, 2))
+
+
+def planted_bi(seed, n=32):
+    """Pairs ∩ U(3, n) with four high-profit elements among many
+    low-profit ones, for the same reason."""
+    rng = random.Random(seed)
+    top = set(rng.sample(range(n), 4))
+    els = [B.Element(i, rng.randint(30, 40) if i in top else rng.randint(1, 5),
+                     rng.randint(1, 12)) for i in range(n)]
+    m1 = B.PartitionMatroid(range(n), [[2 * i, 2 * i + 1] for i in range(n // 2)],
+                            [1] * (n // 2))
+    m2 = B.UniformMatroid(range(n), 3)
+    total = sum(e.cost for e in els)
+    return B.BCInstance(els, B.MatroidIntersectionConstraint(m1, m2), Fraction(total, 2))
+
+
+PLANTED = [("bm", planted_bm(31)), ("bi", planted_bi(32))]
+
+
+@pytest.mark.parametrize("strategy,cap", [("auto", 24), ("exhaustive", 4)])
+@pytest.mark.parametrize("eps", [EPS, Fraction(1, 24)], ids=["1/16", "1/24"])
+@pytest.mark.parametrize("name,inst", PLANTED, ids=[n for n, _ in PLANTED])
+def test_skipping_eptas_run_matches_reference(name, inst, eps, strategy, cap):
+    """eptas_run without records skips the residuals its ceiling rules
+    out, past the exhaustive gate too; the solution, `enumerated` and
+    `fallbacks` are those of the loop that solves every prefix."""
+    run = B.eptas_run(inst, eps, strategy=strategy, max_exhaustive=cap)
+    best, fallbacks, records = reference_eptas(inst, strategy, cap, eps)
+    low = B.low_profit_ids(inst, eps, run.alpha)
+    assert any(reference_residual(inst, r[0], low).n > 24 for r in records)
+    assert run.solution == best
+    assert run.enumerated == len(records)
+    assert run.fallbacks == fallbacks
+    assert run.records == ()
+
+
+@pytest.mark.parametrize("name,inst", PLANTED, ids=[n for n, _ in PLANTED])
+def test_skipping_two_approx_matches_reference(name, inst):
+    """The empty prefix's residual holds every element, past the gate."""
+    assert inst.n > 24
+    copy = B.BCInstance(inst.elements, inst.constraint, inst.budget)
+    sol, alpha = B.two_approx(copy)
+    assert sol == reference_two_approx(B.BCInstance(inst.elements, inst.constraint,
+                                                    inst.budget))
     assert alpha == sol.profit
 
 

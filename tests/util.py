@@ -9,6 +9,17 @@ import bcopt as B
 from bcopt.matroids import restrict, thin
 
 
+def bi_pairs(seed, n):
+    """Partition matroid over pairs {2i, 2i+1} (capacity 1) ∩ U(n/4, n)."""
+    rng = random.Random(seed)
+    els = [B.Element(i, rng.randint(1, 20), rng.randint(1, 20)) for i in range(n)]
+    m1 = B.PartitionMatroid(range(n), [[2 * i, 2 * i + 1] for i in range(n // 2)],
+                            [1] * (n // 2))
+    m2 = B.UniformMatroid(range(n), n // 4)
+    total = sum(e.cost for e in els)
+    return B.BCInstance(els, B.MatroidIntersectionConstraint(m1, m2), Fraction(total, 2))
+
+
 def all_independent_sets(matroid):
     ids = matroid.ground_list
     out = []

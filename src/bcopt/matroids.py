@@ -41,6 +41,13 @@ class Matroid:
 
     Subclasses implement _indep_mask; queries arriving through
     independent_mask are memoized per instance.
+
+    swaps(smask, x, among) lists the exchange-graph arcs at an element x
+    outside smask: the bits y of among (a subset of smask) for which
+    smask − y + x is independent.  The default asks one independence
+    query per y and assumes no heredity, so it holds for any family;
+    an override must return exactly what that loop returns, for every
+    smask, dependent ones included.
     """
 
     kind = "abstract"
@@ -76,6 +83,17 @@ class Matroid:
     def _indep_mask(self, mask: int) -> bool:
         raise NotImplementedError
 
+    def swaps(self, smask: int, x: int, among: int) -> int:
+        xbit = 1 << x
+        out = 0
+        rest = among
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if self.independent_mask((smask ^ low) | xbit):
+                out |= low
+        return out
+
     def full_rank(self) -> int:
         """An upper bound on the size of every independent set: the size
         of a greedy basis, exact on a matroid, where every maximal
@@ -102,6 +120,10 @@ class UniformMatroid(Matroid):
 
     def _indep_mask(self, mask: int) -> bool:
         return mask.bit_count() <= self.rank
+
+    def swaps(self, smask: int, x: int, among: int) -> int:
+        # every swap keeps the size of smask
+        return among if smask.bit_count() <= self.rank else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniformMatroid):
@@ -146,13 +168,31 @@ class PartitionMatroid(Matroid):
             raise InputError("blocks do not cover the ground set")
         self.blocks = tuple(frozenset(_ids_of(bm)) for bm in block_masks)
         self.capacities = tuple(capacities)
-        self._block_masks = tuple(block_masks)
+        # (block mask, capacity) of each element, indexed by id
+        self._block_of = [(0, 0)] * (max(self.ground_list, default=-1) + 1)
+        for bm, cap in zip(block_masks, self.capacities):
+            for e in _ids_of(bm):
+                self._block_of[e] = (bm, cap)
 
     def _indep_mask(self, mask: int) -> bool:
-        for bm, cap in zip(self._block_masks, self.capacities):
-            if (mask & bm).bit_count() > cap:
+        # only the blocks mask touches: each pass takes one whole block out
+        block_of = self._block_of
+        rest = mask
+        while rest:
+            bm, cap = block_of[rest.bit_length() - 1]
+            hit = rest & bm
+            if hit.bit_count() > cap:
                 return False
+            rest ^= hit
         return True
+
+    def swaps(self, smask: int, x: int, among: int) -> int:
+        if not self.independent_mask(smask):
+            return super().swaps(smask, x, among)
+        # smask fits every block; x's block either has room, or is full
+        # and only a swap inside it keeps it in capacity
+        bm, cap = self._block_of[x]
+        return among if (smask & bm).bit_count() < cap else among & bm
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartitionMatroid):

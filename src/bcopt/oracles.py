@@ -41,7 +41,7 @@ import networkx as nx
 from .errors import CapacityError, InputError
 from .exchange import class_members
 from .graphs import Graph
-from .matroids import Matroid
+from .matroids import Matroid, _ids_of, _mask_of
 from .model import BCInstance, ProfitClassing, Solution, _check_epsilon
 
 
@@ -236,15 +236,27 @@ def max_weight_matching(
     return frozenset(out)
 
 
+def _check_weights(m: Matroid, weights: Mapping[int, int | Fraction]) -> None:
+    """The weights contract of both common-independent-set methods:
+    exact rationals on ground elements; an element without a weight
+    takes no part."""
+    for e, w in weights.items():
+        if e not in m.ground:
+            raise InputError(f"weight on element {e!r} outside the ground set")
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise InputError(f"element {e}: weight {w!r} is not an exact rational")
+
+
 def mi_extreme_chain(
-    m1: Matroid, m2: Matroid, weights: Mapping[int, Fraction], base: int = 0
+    m1: Matroid, m2: Matroid, weights: Mapping[int, int | Fraction], base: int = 0
 ) -> list[frozenset[int]]:
     """Chain of maximum-weight common independent sets, one per size,
     grown by shortest augmenting paths in the exchange graph.
 
     Returns [S_0, S_1, ..., S_k] where S_i is a max-weight common
     independent set of size i and S_k is the overall maximum (growth
-    stops when the best augmenting path no longer gains weight).  Only
+    stops when the best augmenting path no longer gains weight).  Weights
+    are int or Fraction on ground elements, else InputError; only
     elements with a positive weight take part.  base is the element mask
     of a common independent set F that every set extends: the chain is
     that of the two matroids contracted by F, and its sets leave F out.
@@ -253,6 +265,7 @@ def mi_extreme_chain(
     """
     if m1.ground != m2.ground:
         raise InputError("the two matroids must share a ground set")
+    _check_weights(m1, weights)
     elems = [e for e in sorted(weights) if weights[e] > 0]
     if any(base >> e & 1 for e in elems):
         raise InputError("weighted elements must lie outside the base set")
@@ -286,6 +299,12 @@ def _best_augmenting_path(
     addable in the first matroid, sinks addable in the second.  The
     min-length min-hop choice is what keeps the augmented set extreme.
 
+    The arcs come from one `Matroid.swaps` call per matroid and element
+    x outside the set: y → x when S − y + x is independent in the first
+    matroid, x → y when it is in the second.  Each arc list keeps the
+    order of the per-pair queries they replace (x ascending from y, y
+    ascending from x), so labels, and the path chosen, are unchanged.
+
     Each element keeps one label, the least key over the walks from a
     source to it, relaxed along the arcs in rounds over changed labels.
     The chain's sets are extreme, so there is no negative cycle: the
@@ -301,15 +320,13 @@ def _best_augmenting_path(
     x2 = [x for x in outside if m2.independent_mask(smask | (1 << x))]
     if not x1 or not x2:
         return None
-    arcs: dict[int, list[int]] = {e: [] for e in elems}
-    for y in inside:
-        swapped = smask ^ (1 << y)
-        for x in outside:
-            cand = swapped | (1 << x)
-            if m1.independent_mask(cand):
-                arcs[y].append(x)
-            if m2.independent_mask(cand):
-                arcs[x].append(y)
+    among = _mask_of(inside)
+    members: dict[int, tuple[int, ...]] = {}
+    arcs: dict[int, list[int]] = {y: [] for y in inside}
+    for x in outside:
+        for y in _members(members, m1.swaps(smask, x, among)):
+            arcs[y].append(x)
+        arcs[x] = list(_members(members, m2.swaps(smask, x, among)))
     length = {e: (w[e] if smask >> e & 1 else -w[e]) for e in elems}
 
     label = {v: (length[v], 0, (v,)) for v in x1}
@@ -330,13 +347,21 @@ def _best_augmenting_path(
     return min((label[x] for x in x2 if x in label), default=None)
 
 
+def _members(memo: dict[int, tuple[int, ...]], mask: int) -> tuple[int, ...]:
+    """The ascending ids of mask, decoded once per distinct mask."""
+    got = memo.get(mask)
+    if got is None:
+        got = memo[mask] = _ids_of(mask)
+    return got
+
+
 MAX_ENUM = 20
 
 
 def max_weight_common_independent(
     m1: Matroid,
     m2: Matroid,
-    weights: Mapping[int, Fraction],
+    weights: Mapping[int, int | Fraction],
     method: str = "auto",
 ) -> frozenset[int]:
     """A maximum-weight common independent set of two matroids.
@@ -344,7 +369,9 @@ def max_weight_common_independent(
     method="augmenting" (the default under "auto") runs the exchange
     graph algorithm; method="enumeration" exhaustively checks all
     common independent sets (n ≤ MAX_ENUM, canonical lex tie-break) and
-    exists as the independent cross-check.
+    exists as the independent cross-check.  Both take weights as
+    `mi_extreme_chain` does: exact, on ground elements, and an element
+    without a weight takes no part.
     """
     if m1.ground != m2.ground:
         raise InputError("the two matroids must share a ground set")
@@ -352,10 +379,11 @@ def max_weight_common_independent(
         return mi_extreme_chain(m1, m2, weights)[-1]
     if method != "enumeration":
         raise InputError(f"unknown method {method!r}")
+    _check_weights(m1, weights)
     n = len(m1.ground_list)
     if n > MAX_ENUM:
         raise CapacityError(f"enumeration over {n} elements (bound {MAX_ENUM})")
-    pool = [e for e in m1.ground_list if weights[e] > 0]
+    pool = [e for e in m1.ground_list if weights.get(e, 0) > 0]
 
     def extend(state: tuple[int, int | Fraction], j: int) -> tuple | None:
         mask, acc = state

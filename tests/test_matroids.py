@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import bcopt as B
 from bcopt.errors import InputError
-from util import all_independent_sets, explicit_copy, random_matroid
+from util import all_independent_sets, explicit_copy, random_matroid, random_partition
 
 FIG1_GRAPH = B.Graph(5, {0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)})
 
@@ -296,3 +296,64 @@ def test_memoization_is_invisible():
     assert independent(m, [0, 1])
     assert not independent(m, [0, 1, 2, 3])
     assert not independent(m, [0, 1, 2, 3])
+
+
+def _random_block_matroid(rng):
+    """A uniform or partition matroid over scattered ids; partition
+    capacities run from 0 to 3, so masks are often over capacity."""
+    n = rng.randint(1, 12)
+    ground = sorted(rng.sample(range(2 * n), n))
+    if rng.random() < 0.3:
+        return B.UniformMatroid(ground, rng.randint(0, n))
+    return random_partition(rng, ground, rng.randint(1, n), 0, 3)
+
+
+def _random_submask(rng, mask):
+    bits = [1 << e for e in range(mask.bit_length()) if mask >> e & 1]
+    return sum(b for b in bits if rng.random() < 0.6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_swaps_override_equals_query_loop(seed):
+    # the closed forms list exactly what one independence query per y
+    # does, for dependent sets, capacity-0 blocks and base bits too
+    rng = random.Random(seed)
+    m = _random_block_matroid(rng)
+    ground = m.ground_list
+    for _ in range(10):
+        smask = _random_submask(rng, m.ground_mask)
+        outside = [e for e in ground if not smask >> e & 1]
+        if not outside:
+            continue
+        x = rng.choice(outside)
+        among = _random_submask(rng, smask)  # the rest of smask is a base
+        assert m.swaps(smask, x, among) == B.Matroid.swaps(m, smask, x, among)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_partition_independence_counts_every_block(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    ground = sorted(rng.sample(range(2 * n), n))
+    m = random_partition(rng, ground, rng.randint(1, n), 0, 3)
+    for _ in range(10):
+        mask = _random_submask(rng, m.ground_mask)
+        want = all(
+            sum(1 for e in blk if mask >> e & 1) <= cap
+            for blk, cap in zip(m.blocks, m.capacities)
+        )
+        assert m.independent_mask(mask) == want
+
+
+def test_swaps_closed_forms_by_hand():
+    u = B.UniformMatroid(range(5), 2)
+    assert u.swaps(0b00011, 4, 0b00011) == 0b00011   # |S| = rank
+    assert u.swaps(0b00111, 4, 0b00101) == 0         # S already dependent
+    p = B.PartitionMatroid(range(6), [[0, 1, 2], [3, 4], [5]], [2, 1, 0])
+    assert p.swaps(0b001001, 1, 0b001001) == 0b001001  # x's block has room
+    assert p.swaps(0b001011, 2, 0b001011) == 0b000011  # full: swap inside it
+    assert p.swaps(0b001001, 5, 0b001001) == 0         # capacity 0
+    assert p.swaps(0b001001, 4, 0b000001) == 0         # the block's y is base
+    assert p.swaps(0b011001, 2, 0b011001) == 0b011000  # dependent S: the loop

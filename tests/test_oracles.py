@@ -10,12 +10,14 @@ import bcopt as B
 from bcopt import oracles
 from bcopt.errors import CapacityError, InputError
 from bcopt.generate import BI_KINDS
+from bcopt.matroids import Matroid
 from bcopt.model import relaxation_weights
 from util import (
     all_matchings,
     brute_max_weight,
     random_graph,
     random_matroid,
+    random_partition,
     reference_best_augmenting_path,
 )
 
@@ -199,7 +201,7 @@ def test_mi_extreme_chain_sizes():
         assert sum((w[e] for e in chain[-1]), F(0)) == brute_max_weight(common, w)
 
 
-def _reference_chain(monkeypatch, m1, m2, w):
+def _reference_chain(monkeypatch, m1, m2, w, base=0):
     """The chain grown with the reference path search patched in; each
     step also checks that the library's search returns the same
     (length, hops, sequence)."""
@@ -212,7 +214,7 @@ def _reference_chain(monkeypatch, m1, m2, w):
 
     with monkeypatch.context() as mp:
         mp.setattr(oracles, "_best_augmenting_path", reference)
-        return B.mi_extreme_chain(m1, m2, w)
+        return B.mi_extreme_chain(m1, m2, w, base)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +249,71 @@ def test_mi_extreme_chain_matches_reference_at_nps_sizes(n, first, monkeypatch):
     m2 = B.UniformMatroid(range(n), n // 3)
     w = {e: F(rng.randint(1, 20)) - F(rng.randint(1, 20), 2) for e in range(n)}
     assert B.mi_extreme_chain(m1, m2, w) == _reference_chain(monkeypatch, m1, m2, w)
+
+
+@pytest.mark.parametrize("n", [12, 20, 30])
+@pytest.mark.parametrize("second", ["uniform", "partition"])
+def test_mi_extreme_chain_matches_reference_with_capacities_and_a_base(
+    n, second, monkeypatch
+):
+    # capacities above 1 make some blocks roomy and others full, and the
+    # base's bits count toward its blocks without ever being swapped out
+    rng = random.Random(n)
+    m1 = random_partition(rng, range(n), n // 2, 0, 3)
+    if second == "uniform":
+        m2 = B.UniformMatroid(range(n), n // 2)
+    else:
+        m2 = random_partition(rng, range(n), n // 2, 1, 2)
+    base = 0
+    for e in rng.sample(range(n), n // 4):
+        cand = base | 1 << e
+        if m1.independent_mask(cand) and m2.independent_mask(cand):
+            base = cand
+    assert base
+    w = {e: rng.choice(TIE_HEAVY) for e in range(n) if not base >> e & 1}
+    chain = _reference_chain(monkeypatch, m1, m2, w, base)
+    assert len(chain) > 2
+    assert B.mi_extreme_chain(m1, m2, w, base) == chain
+
+
+@pytest.mark.parametrize("first", ["uniform", "partition"])
+def test_augmentation_queries_grow_with_the_outside_only(first, monkeypatch):
+    # one query per source and sink candidate, and partition's swaps one
+    # more per x: O(|E∖S|) per augmentation, where querying every
+    # (y, x) pair would take 2·|S|·|E∖S|
+    n = 40
+    rng = random.Random(first)
+    if first == "uniform":
+        m1 = B.UniformMatroid(range(n), n // 2)
+    else:
+        m1 = random_partition(rng, range(n), n // 2, 1, 2)
+    m2 = B.UniformMatroid(range(n), n // 3)
+    w = {e: F(rng.randint(1, 20)) for e in range(n)}
+    real_indep = Matroid.independent_mask
+    real_path = oracles._best_augmenting_path
+    calls = 0
+    seen = []
+
+    def counting(self, mask):
+        nonlocal calls
+        calls += 1
+        return real_indep(self, mask)
+
+    def path(m1, m2, w, elems, smask):
+        nonlocal calls
+        calls = 0
+        got = real_path(m1, m2, w, elems, smask)
+        inside = sum(1 for e in elems if smask >> e & 1)
+        seen.append((calls, inside, len(elems) - inside))
+        return got
+
+    monkeypatch.setattr(Matroid, "independent_mask", counting)
+    monkeypatch.setattr(oracles, "_best_augmenting_path", path)
+    chain = B.mi_extreme_chain(m1, m2, w)
+    assert len(chain) > 8
+    for got, inside, outside in seen:
+        assert got <= 3 * outside
+    assert any(2 * i * o > 4 * got for got, i, o in seen)
 
 
 def test_mi_extreme_chain_breaks_label_ties_by_sequence(monkeypatch):
@@ -323,6 +390,31 @@ def test_common_independent_methods_agree(seed):
     for method in ("auto", "augmenting", "enumeration"):
         got = B.max_weight_common_independent(m1, m2, w, method=method)
         assert sum((w[e] for e in got), F(0)) == best
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", None])
+def test_mi_weights_must_be_exact(bad):
+    u = B.UniformMatroid(range(4), 2)
+    p = B.PartitionMatroid(range(4), [[0, 1], [2, 3]], [1, 1])
+    with pytest.raises(InputError, match="not an exact rational"):
+        B.mi_extreme_chain(u, p, {0: 3, 1: bad})
+    for method in ("auto", "augmenting", "enumeration"):
+        with pytest.raises(InputError, match="not an exact rational"):
+            B.max_weight_common_independent(u, p, {0: 3, 1: bad}, method=method)
+
+
+def test_mi_methods_share_one_weights_contract():
+    u = B.UniformMatroid(range(4), 2)
+    p = B.PartitionMatroid(range(4), [[0, 1], [2, 3]], [1, 1])
+    # a partial mapping: unweighted elements take no part in either method
+    partial = {1: F(2), 3: 5}
+    for method in ("augmenting", "enumeration"):
+        assert B.max_weight_common_independent(u, p, partial, method=method) == {1, 3}
+    # a weight off the ground set is the same error, naming the id
+    for w in ({0: 1, 7: 1}, {0: 1, 7: 0}):
+        for method in ("augmenting", "enumeration"):
+            with pytest.raises(InputError, match="element 7 outside the ground set"):
+                B.max_weight_common_independent(u, p, w, method=method)
 
 
 def test_common_independent_enumeration_gate():

@@ -104,6 +104,15 @@ def random_matroid(rng: random.Random, ground):
     return B.LinearMatroid(cols, 2)
 
 
+def random_partition(rng: random.Random, ground, count: int, low: int, top: int):
+    """A partition matroid over ground with at most count blocks, of
+    capacities low..top."""
+    block = {e: rng.randrange(count) for e in ground}
+    groups = [[e for e in ground if block[e] == b] for b in range(count)]
+    groups = [g for g in groups if g]
+    return B.PartitionMatroid(ground, groups, [rng.randint(low, top) for _ in groups])
+
+
 def opt_profit(inst) -> Fraction:
     return B.brute_force_opt(inst).profit
 

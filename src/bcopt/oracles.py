@@ -1,8 +1,10 @@
 """Exact reference solvers and combinatorial checkers.
 
 Everything here is the slow, trustworthy side of the package: exhaustive
-search with pruning, exact weighted matching (blossom via networkx),
-weighted matroid intersection by augmenting paths, and the exchange-set /
+search with pruning, exact weighted matching (the blossom algorithm in
+`bcopt.blossom`, whose tie-break among equally good matchings is pinned
+in this package and equals networkx 3.6.1's), weighted matroid
+intersection by augmenting paths, and the exchange-set /
 representative-set definitions turned into decision procedures.
 
 Every subset search runs on one walker, ``_walk(pool, extend, root,
@@ -36,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-import networkx as nx
-
+from . import blossom
 from .errors import CapacityError, InputError
 from .exchange import class_members
 from .graphs import Graph
@@ -200,13 +201,13 @@ def max_weight_matching(
     weight, for int or Fraction weights.
 
     Weights are scaled to integers by the lcm of their denominators
-    before the blossom runs, so networkx takes its exact integer path;
-    on non-integer weights it halves slacks in floating point and can
-    return a matching below the maximum.  Non-positive-weight edges
-    never help a maximum and are dropped; parallel edges collapse to
-    their (max weight, min id) representative.  Deterministic for fixed
-    input, but the tie-break among equally good matchings is the blossom
-    implementation's own.
+    before the blossom runs, so it works on exact integers throughout.
+    Non-positive-weight edges never help a maximum and are dropped;
+    parallel edges collapse to their (max weight, min id)
+    representative.  The tie-break among equally good matchings is the
+    blossom's: `bcopt.blossom` scans the collapsed edges in ascending
+    vertex-pair order, and picks the matching networkx 3.6.1's
+    ``max_weight_matching`` picks on a graph built in that order.
     """
     chosen_rep: dict[tuple[int, int], tuple[int | Fraction, int]] = {}
     for e in sorted(weights):
@@ -222,18 +223,9 @@ def max_weight_matching(
         if cur is None or w > cur[0]:
             chosen_rep[pair] = (w, e)
     scale = math.lcm(1, *(w.denominator for w, _ in chosen_rep.values()))
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.num_vertices))
-    for pair in sorted(chosen_rep):
-        w, e = chosen_rep[pair]
-        g.add_edge(pair[0], pair[1], weight=int(w * scale), eid=e)
-    mate = nx.max_weight_matching(g, maxcardinality=False)
-    out = []
-    for u, v in mate:
-        if u > v:
-            u, v = v, u
-        out.append(chosen_rep[(u, v)][1])
-    return frozenset(out)
+    edges = [(u, v, int(chosen_rep[u, v][0] * scale)) for u, v in sorted(chosen_rep)]
+    pairs = blossom.max_weight_matching(graph.num_vertices, edges)
+    return frozenset(chosen_rep[pair][1] for pair in pairs)
 
 
 def _check_weights(m: Matroid, weights: Mapping[int, int | Fraction]) -> None:
@@ -335,12 +327,22 @@ def _best_augmenting_path(
         touched = set()
         for u in changed:
             base_len, hops, seq = label[u]
+            hops += 1
             for v in arcs[u]:
-                cand = (base_len + length[v], hops + 1, seq + (v,))
+                new_len = base_len + length[v]
                 cur = label.get(v)
-                if cur is None or cand < cur:
-                    label[v] = cand
-                    touched.add(v)
+                # the key (length, hops, sequence) against v's label,
+                # field by field, since a Fraction comparison is a Python
+                # call; a candidate that loses on (length, hops) builds
+                # no sequence
+                if cur is not None and (
+                    new_len > cur[0]
+                    or new_len == cur[0]
+                    and (hops > cur[1] or hops == cur[1] and seq + (v,) >= cur[2])
+                ):
+                    continue
+                label[v] = (new_len, hops, seq + (v,))
+                touched.add(v)
         if not touched:
             break
         changed = sorted(touched)

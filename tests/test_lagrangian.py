@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import bcopt as B
-from bcopt import cli
+from bcopt import blossom, cli
 from bcopt.errors import CapacityError, InputError
 from bcopt.lagrangian import LagrangianCertificate
 
@@ -218,18 +218,16 @@ def test_nps_contract_on_corpus_slice(corpus):
 
 
 def test_blossom_receives_integer_weights(monkeypatch, capsys):
-    # networkx's blossom is exact only on int weights; a Fraction or float
-    # weight sends it down its floating-point path
-    import networkx
-
+    # the blossom works on exact integers only (it raises InputError on
+    # anything else); max_weight_matching scales Fraction weights first
     seen = []
-    real = networkx.max_weight_matching
+    real = blossom.max_weight_matching
 
-    def spy(g, *args, **kwargs):
-        seen.extend(w for _, _, w in g.edges(data="weight"))
-        return real(g, *args, **kwargs)
+    def spy(n, edges):
+        seen.extend(w for _, _, w in edges)
+        return real(n, edges)
 
-    monkeypatch.setattr(networkx, "max_weight_matching", spy)
+    monkeypatch.setattr(blossom, "max_weight_matching", spy)
     monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
     for path in sorted(pathlib.Path("fixtures/corpus").glob("bm_*.json")):
         argv = ["solve", str(path), "--epsilon", "1/2", "--strategy", "lagrangian"]

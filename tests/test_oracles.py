@@ -111,9 +111,9 @@ def test_max_weight_matching_matches_enumeration(seed):
 
 
 def test_max_weight_matching_exact_on_near_equal_rational_weights():
-    # weights 10^17 + small/7 differ below float precision: networkx's
-    # non-integer path halves slacks in floating point and misses the
-    # maximum, so the weights must reach it as scaled integers
+    # weights 10^17 + small/7 differ below float precision: a blossom
+    # that halves slacks in floating point (networkx's non-integer path)
+    # misses the maximum, so the weights must reach it as scaled integers
     rng = random.Random(0)
     ends = {}
     w = {}

@@ -66,21 +66,22 @@ def eptas_run(
     enumerated = 0
     fallbacks = 0
     low = low_profit_ids(inst, eps, alpha)
-    P, C = inst.int_profit, inst.int_cost
+    P = inst.int_profit
     desc = sorted(low, key=lambda e: (-P[e], e))
     c = inst.constraint
-    for pinned in iter_solutions(inst, candidates=sorted(rep.union), max_size=cap):
+    walk = iter_solutions(
+        inst, candidates=sorted(rep.union), max_size=cap, with_state=True
+    )
+    for pinned, state, cost, profit in walk:
         enumerated += 1
-        state = c.state_of(pinned)
         # an empty residual needs no solve, whatever the gate
         fallback = strategy == "exhaustive" and (
             len(c.survivors(state, low)) > max(max_exhaustive, 0)
         )
         fallbacks += fallback
         if not collect:
-            need = -best[0] - sum(P[e] for e in pinned)
-            budget = inst.int_budget - sum(C[e] for e in pinned)
-            if ceiling(inst, state, desc, budget, need) < need:
+            need = -best[0] - profit
+            if ceiling(inst, state, desc, inst.int_budget - cost, need) < need:
                 continue
         tail = residual_tail(
             inst, pinned, low, "auto" if fallback else strategy, max_exhaustive

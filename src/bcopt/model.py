@@ -12,7 +12,9 @@ floats.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -349,9 +351,15 @@ def class_count_of(eps: Fraction) -> int:
     return k + 1
 
 
+@functools.lru_cache(maxsize=64)
+def _eps_counts(eps: Fraction) -> tuple[int, int]:
+    """(q_of(ε), class_count_of(ε)) for a checked ε, computed once."""
+    return q_of(eps), class_count_of(eps)
+
+
 def scheme_params(inst: BCInstance, eps: Fraction | int) -> SchemeParams:
     eps = _check_epsilon(eps)
-    q = q_of(eps)
+    q, count = _eps_counts(eps)
     q_eff = min(q, inst.n)
     k_eff = max(1, 6 * q_eff)
     if inst.constraint.kind == "matching":
@@ -366,7 +374,7 @@ def scheme_params(inst: BCInstance, eps: Fraction | int) -> SchemeParams:
         q_eff=q_eff,
         k_eff=k_eff,
         n_cap=n_cap,
-        class_count=class_count_of(eps),
+        class_count=count,
     )
 
 
@@ -395,21 +403,23 @@ def profit_classes(
         raise InputError("alpha must be nonnegative")
     if alpha == 0:
         raise DegenerateAlpha("alpha = 0: profit classes undefined")
-    count = class_count_of(eps)
-    powers = [Fraction(1)]
-    for _ in range(count):
-        powers.append(powers[-1] * (1 - eps))
-    cutoff = eps * alpha
-    two_alpha = 2 * alpha
+    _, count = _eps_counts(eps)
+    # integer profits: p ≤ t exactly when the scaled p ≤ ⌊t scaled⌋, so
+    # class r is E[r] < p ≤ E[r−1] for the band edges E[r] = ⌊2α(1−ε)^r
+    # scaled⌋, kept negated to bisect ascending
+    a, b = eps.numerator, eps.denominator
+    top = 2 * alpha * inst._sp
+    edges = [
+        -(top.numerator * (b - a) ** r // (top.denominator * b**r))
+        for r in range(count + 1)
+    ]
+    cut = math.floor(eps * alpha * inst._sp)
     classes: dict[int, list[int]] = {}
-    for e in inst.elements:
-        if e.profit <= cutoff:
-            continue
-        ratio = e.profit / two_alpha
-        for r in range(1, count + 1):
-            if powers[r] < ratio <= powers[r - 1]:
-                classes.setdefault(r, []).append(e.id)
-                break
+    for e in inst.ids:
+        p = inst.int_profit[e]
+        r = bisect_right(edges, -p)  # the least r with E[r] < p
+        if p > cut and 1 <= r <= count:
+            classes.setdefault(r, []).append(e)
     return ProfitClassing(
         alpha=alpha,
         epsilon=eps,

@@ -20,9 +20,10 @@ limit, bound)``:
 - bound(j, state): asked before extend; True cuts pool[j] and every
   later sibling.  The walk is lazy, so a bound may read an incumbent
   the caller updates while consuming it.  `exhaustive_search` bounds
-  by the profit left in the pool; `iter_solutions` asks its caller's
-  cut at a set's first child only, so True drops all of its children
-  (`repset.two_approx` cuts by its profit ceiling).
+  by the largest profits left in the pool, as many as the set has room
+  for; `iter_solutions` asks its caller's cut at a set's first child
+  only, so True drops all of its children (`repset.two_approx` cuts by
+  its profit ceiling).
 - limit: the largest set size.
 
 Each visited set comes out as (prefix, state), prefix being a live list
@@ -34,8 +35,10 @@ set, the canonical (profit desc, lex ids asc) winner.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import blossom
@@ -87,7 +90,6 @@ def _walk(
     return visit(0, root)
 
 
-_IntState = tuple[int, int, int]
 _WalkState = tuple[int, int, int, int]
 
 
@@ -98,34 +100,44 @@ def exhaustive_search(
     a pinned set: feasible together with it and of cost ≤ budget.
 
     base is the pinned set's walk state (`constraint.state_of`); budget
-    is on the instance's integer cost scale.  Prunes by remaining-profit
-    bound, budget, and the hereditary property (supersets of an
-    infeasible set are never visited).  Ties resolve to the
-    lexicographically smallest id set.
-    """
+    is on the instance's integer cost scale.  Prunes by budget, by the
+    hereditary property (supersets of an infeasible set are never
+    visited) and by room: a set d elements past base has room for at
+    most k − d more, k = `room(base)`, so from pool index j on it gains
+    at most the k − d largest profits of pool[j:].  The cut is
+    non-strict, so ties resolve to the lexicographically smallest id
+    set."""
     P = [inst.int_profit[e] for e in pool]
     C = [inst.int_cost[e] for e in pool]
-    suffix = [0] * (len(pool) + 1)
-    for i in range(len(pool) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + P[i]
-    step = inst.constraint.extend
+    constraint = inst.constraint
+    step = constraint.extend
+    k = max(constraint.room(base), 0)
+    # top[j][r]: the sum of the r largest profits in pool[j:], r = 0..k
+    top = [[0] * (k + 1)] * (len(pool) + 1)
+    largest: list[int] = []  # ascending: the k largest profits from j on
+    for j in range(len(pool) - 1, -1, -1):
+        insort(largest, P[j])
+        if len(largest) > k:
+            del largest[0]
+        row = [0, *accumulate(reversed(largest))]
+        top[j] = row + row[-1:] * (k + 1 - len(row))
 
-    # state: (constraint state, profit, cost)
-    def extend(state: _IntState, j: int) -> _IntState | None:
-        s, p, c = state
+    # state: (constraint state, profit, cost, room left)
+    def extend(state: _WalkState, j: int) -> _WalkState | None:
+        s, p, c, left = state
         c += C[j]
         if c > budget:
             return None
         s = step(s, pool[j])
-        return None if s is None else (s, p + P[j], c)
+        return None if s is None else (s, p + P[j], c, left - 1)
 
     best_p = 0
     best: tuple[int, ...] = ()
 
-    def bound(j: int, state: _IntState) -> bool:
-        return state[1] + suffix[j] <= best_p
+    def bound(j: int, state: _WalkState) -> bool:
+        return state[1] + top[j][state[3]] <= best_p
 
-    for prefix, (_, p, _) in _walk(pool, extend, (base, 0, 0), bound=bound):
+    for prefix, (_, p, _, _) in _walk(pool, extend, (base, 0, 0, k), bound=bound):
         if p > best_p:
             best_p = p
             best = tuple(prefix)
@@ -152,18 +164,23 @@ def iter_solutions(
     candidates: Sequence[int] | None = None,
     max_size: int | None = None,
     cut: Callable[[int, int, int], bool] | None = None,
-) -> Iterator[tuple[int, ...]]:
+    with_state: bool = False,
+) -> Iterator[tuple]:
     """Yield every feasible-and-within-budget subset of the candidate
     ids (default: all elements), in ascending lexicographic order,
     starting with ().  Hereditary pruning keeps the walk proportional to
     the number of feasible sets.  The candidates are a set: an unknown or
     repeated id raises InputError.
 
+    With with_state, each item is (ids, state, cost, profit): the set's
+    walk state (`constraint.state_of` of it) and its integer cost and
+    profit, which the walk carries anyway, so a caller need not
+    recompute them.
+
     cut(state, cost, profit), when given, is asked once for each yielded
     set that may have children, after the caller has consumed it, with
-    the set's walk state and its integer cost and profit; True drops
-    every child of the set, so the walk yields an ordered subsequence of
-    the uncut one."""
+    the same three values; True drops every child of the set, so the
+    walk yields an ordered subsequence of the uncut one."""
     pool = sorted(inst.ids if candidates is None else candidates)
     for e in pool:
         if e not in inst.id_set:
@@ -191,6 +208,8 @@ def iter_solutions(
 
     root = (constraint.state_of(()), 0, 0, 0)
     walk = _walk(pool, extend, root, max_size, None if cut is None else bound)
+    if with_state:
+        return ((tuple(prefix), s, c, p) for prefix, (s, c, p, _) in walk)
     return (tuple(prefix) for prefix, _ in walk)
 
 
@@ -503,13 +522,16 @@ def check_representative(
     if target <= 0:
         return OracleReport(ok=True, witness=None, stats=stats)
 
-    best = Fraction(0)
+    # on the integer profit scale: p(S) ≥ target exactly when the scaled
+    # p(S) reaches ⌈(1−4ε)·(scaled OPT)⌉
+    need = math.ceil((1 - 4 * eps) * sum(inst.int_profit[e] for e in opt.ids))
+    best, best_ids = 0, ()
     ok = False
-    for prefix in iter_solutions(inst, candidates=allowed):
-        p = inst.profit_of(prefix)
-        best = max(best, p)
-        if p >= target:
+    for prefix, _, _, p in iter_solutions(inst, candidates=allowed, with_state=True):
+        if p > best:
+            best, best_ids = p, prefix
+        if p >= need:
             ok = True
             break
-    stats["best_found"] = str(best)
+    stats["best_found"] = str(inst.profit_of(best_ids))
     return OracleReport(ok=ok, witness=None if ok else dict(stats), stats=stats)

@@ -88,8 +88,7 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     cached = inst._cache.get("two_approx")
     if cached is not None:
         return cached
-    P, C = inst.int_profit, inst.int_cost
-    c = inst.constraint
+    P = inst.int_profit
     desc = sorted(inst.ids, key=lambda e: (-P[e], e))
     best: tuple[int, tuple[int, ...]] | None = None
 
@@ -102,13 +101,11 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
         need = -best[0] - profit
         return ceiling(inst, state, pool, inst.int_budget - cost, need) < need
 
-    for pinned in iter_solutions(inst, max_size=4, cut=below):
+    walk = iter_solutions(inst, max_size=4, cut=below, with_state=True)
+    for pinned, state, cost, profit in walk:
         pool = inst.ids
         if pinned:
             threshold = min(P[e] for e in pinned)
-            state = c.state_of(pinned)
-            cost = sum(C[e] for e in pinned)
-            profit = sum(P[e] for e in pinned)
             if below(state, cost, profit, [e for e in desc if P[e] <= threshold]):
                 continue
             pool = [e for e in pool if P[e] <= threshold]

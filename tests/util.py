@@ -197,3 +197,80 @@ def reference_residual(inst, pinned, pool):
     sub.cost = {e.id: e.cost for e in sub.elements}
     sub._cache = {}
     return sub
+
+
+def reference_exhaustive_search(inst, pool, base, budget):
+    """Reference for `oracles.exhaustive_search` with the bound it had
+    before it read `room`: a depth-first walk of pool in ascending
+    lexicographic order that cuts a branch when its profit plus the sum
+    of every profit left in the pool cannot beat the incumbent (a
+    non-strict cut, so the first of equally good sets wins)."""
+    P = [inst.int_profit[e] for e in pool]
+    C = [inst.int_cost[e] for e in pool]
+    suffix = [0] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + P[i]
+    step = inst.constraint.extend
+    best = [0, ()]
+    chosen = []
+
+    def visit(start, state, p, c):
+        if p > best[0]:
+            best[:] = [p, tuple(chosen)]
+        for j in range(start, len(pool)):
+            if p + suffix[j] <= best[0]:
+                break
+            if c + C[j] > budget:
+                continue
+            child = step(state, pool[j])
+            if child is not None:
+                chosen.append(pool[j])
+                visit(j + 1, child, p + P[j], c + C[j])
+                chosen.pop()
+
+    visit(0, base, 0, 0)
+    return best[0], best[1]
+
+
+def combination_search(inst, pool, pinned, budgets):
+    """For each budget, the best (integer profit, sorted ids) set T of
+    pool elements outside pinned with pinned ∪ T feasible and c(T) ≤ the
+    budget (integer cost scale), ties to the lexicographically smallest
+    ids, by trying every combination of each size; sizes stop at the
+    first with no feasible set, budget ignored, as the families are
+    hereditary."""
+    fixed = inst.mask_of(pinned)
+    pool = sorted(set(pool) - set(pinned))
+    feasible = []
+    for k in range(len(pool) + 1):
+        found = False
+        for combo in itertools.combinations(pool, k):
+            if inst.constraint.feasible_mask(fixed | inst.mask_of(combo)):
+                found = True
+                feasible.append((sum(inst.int_cost[e] for e in combo),
+                                 -sum(inst.int_profit[e] for e in combo), combo))
+        if not found:
+            break
+    out = []
+    for budget in budgets:
+        neg, ids = min((neg, ids) for cost, neg, ids in feasible if cost <= budget)
+        out.append((-neg, ids))
+    return out
+
+
+def reference_profit_classes(inst, eps, alpha):
+    """The `Fraction` definition of `model.profit_classes`: class r holds
+    the e with p(e) > εα and (1−ε)^r < p(e)/(2α) ≤ (1−ε)^(r−1), r from 1
+    to `class_count_of(ε)`; empty classes are left out."""
+    eps, alpha = Fraction(eps), Fraction(alpha)
+    count = B.class_count_of(eps)
+    classes = {}
+    for e in inst.elements:
+        if e.profit <= eps * alpha:
+            continue
+        ratio = e.profit / (2 * alpha)
+        for r in range(1, count + 1):
+            if (1 - eps) ** r < ratio <= (1 - eps) ** (r - 1):
+                classes.setdefault(r, []).append(e.id)
+                break
+    return {r: tuple(sorted(v)) for r, v in sorted(classes.items())}

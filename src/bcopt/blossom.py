@@ -47,11 +47,15 @@ edge-list order, the insertion orders of ``blossomparent`` and
 a graph built by ``add_edge`` in the same edge order, it returns the
 very matching networkx returns, not just one of equal weight.  What
 changed is the data: plain per-vertex tables hold twice each edge
-weight in place of networkx's graph views, ``dualvar`` is a list, and
-the edge slack is computed inline.  The float and ``maxcardinality``
-branches are gone.  networkx's internal asserts stay; the final
-optimality certificate (`_verify_optimum`) raises InvariantError, so it
-runs under ``python -O`` as well.
+weight in place of networkx's graph views, ``dualvar`` is a list, the
+edge slack is computed inline, and ``allowedge`` holds the int
+``v * n + w`` for the edge (v, w) rather than a tuple.  The neighbour
+scan binds its dict and set methods once and keeps the slack of its
+blossom's ``bestedge`` while it runs, since nothing else writes that
+entry during a scan and the duals change only between substages.  The
+float and ``maxcardinality`` branches are gone.  networkx's internal
+asserts stay; the final optimality certificate (`_verify_optimum`)
+raises InvariantError, so it runs under ``python -O`` as well.
 
 Many terms used in the comments are explained in Galil's paper.
 """
@@ -179,13 +183,18 @@ def _solve(
     # b's variable in the dual optimization problem.
     blossomdual: dict = {}
 
-    # If (v, w) is in allowedge, the edge (v, w) is known to have zero
+    # If v * n + w is in allowedge, the edge (v, w) is known to have zero
     # slack in the optimization problem; otherwise the edge may or may
     # not have zero slack.
-    allowedge: set = set()
+    allowedge: set[int] = set()
 
     # Queue of newly discovered S-vertices.
     queue: list[int] = []
+
+    # The hot lookups of the neighbour scan, bound once.
+    label_get = label.get
+    bestedge_get = bestedge.get
+    allow = allowedge.add
 
     # Return 2 * slack of edge (v, w) (does not work inside blossoms).
     def slack(v, w):
@@ -395,16 +404,16 @@ def _solve(
                     label[q] = None
                     assignLabel(w, 2, v)
                     # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge.add((p, q))
-                    allowedge.add((q, p))
+                    allowedge.add(p * n + q)
+                    allowedge.add(q * n + p)
                     j += jstep
                     if jstep == 1:
                         v, w = b.edges[j]
                     else:
                         w, v = b.edges[j - 1]
                     # Step to the next T-sub-blossom.
-                    allowedge.add((v, w))
-                    allowedge.add((w, v))
+                    allowedge.add(v * n + w)
+                    allowedge.add(w * n + v)
                     j += jstep
                 # Relabel the base T-sub-blossom WITHOUT stepping through to
                 # its mate (so don't call assignLabel).
@@ -595,6 +604,10 @@ def _solve(
                 # blossom only when addBlossom puts v in a new one.
                 dv = dualvar[v]
                 bv = inblossom[v]
+                vn = v * n
+                # The slack of bestedge[bv], once read; only this scan
+                # writes bestedge[bv] until addBlossom changes bv.
+                bvslack = None
 
                 # Scan its neighbors:
                 for w, w2 in adj[v].items():
@@ -603,16 +616,16 @@ def _solve(
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
-                    lbw = label.get(bw)
-                    if (v, w) in allowedge:
+                    lbw = label_get(bw)
+                    if vn + w in allowedge:
                         allowed = True
                     else:
                         kslack = dv + dualvar[w] - w2
                         # zero slack => the edge is allowable
                         allowed = kslack <= 0
                         if allowed:
-                            allowedge.add((v, w))
-                            allowedge.add((w, v))
+                            allow(vn + w)
+                            allow(w * n + v)
                     if allowed:
                         if lbw is None:
                             # (C1) w is a free vertex;
@@ -628,13 +641,14 @@ def _solve(
                                 # bookkeeping and turn it into an S-blossom.
                                 addBlossom(base, v, w)
                                 bv = inblossom[v]
+                                bvslack = None
                             else:
                                 # Found an augmenting path; augment the
                                 # matching and end this stage.
                                 augmentMatching(v, w)
                                 augmented = 1
                                 break
-                        elif label.get(w) is None:
+                        elif label_get(w) is None:
                             # w is inside a T-blossom, but w itself has not
                             # yet been reached from outside the blossom;
                             # mark it as reached (we need this to relabel
@@ -645,18 +659,19 @@ def _solve(
                     elif lbw == 1:
                         # keep track of the least-slack non-allowable edge to
                         # a different S-blossom.
-                        best = bestedge.get(bv)
-                        if best is None:
+                        if bvslack is None:
+                            best = bestedge_get(bv)
+                            if best is not None:
+                                x, y = best
+                                bvslack = dualvar[x] + dualvar[y] - adj[x][y]
+                        if bvslack is None or kslack < bvslack:
                             bestedge[bv] = (v, w)
-                        else:
-                            x, y = best
-                            if kslack < dualvar[x] + dualvar[y] - adj[x][y]:
-                                bestedge[bv] = (v, w)
-                    elif label.get(w) is None:
+                            bvslack = kslack
+                    elif label_get(w) is None:
                         # w is a free vertex (or an unreached vertex inside
                         # a T-blossom) but we can not reach it yet;
                         # keep track of the least-slack edge that reaches w.
-                        best = bestedge.get(w)
+                        best = bestedge_get(w)
                         if best is None:
                             bestedge[w] = (v, w)
                         else:
@@ -742,14 +757,14 @@ def _solve(
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
                 assert label[inblossom[v]] == 1
-                allowedge.add((v, w))
-                allowedge.add((w, v))
+                allowedge.add(v * n + w)
+                allowedge.add(w * n + v)
                 queue.append(v)
             elif deltatype == 3:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
-                allowedge.add((v, w))
-                allowedge.add((w, v))
+                allowedge.add(v * n + w)
+                allowedge.add(w * n + v)
                 assert label[inblossom[v]] == 1
                 queue.append(v)
             elif deltatype == 4:

@@ -14,7 +14,7 @@ F = ∅.  `non_profitable_solve(inst)` is the residual tail of F = ∅.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -68,7 +68,10 @@ class LagrangianCertificate:
     s_minus is feasible (cost ≤ β) and optimal for the relaxation at
     lam_hi; s_plus, when present, is infeasible and optimal at lam_lo.
     lam_lo == lam_hi means an exact breakpoint: both sets are optimal at
-    that single λ.  lam and value describe the feasible side.
+    that single λ.  lam and value describe the feasible side.  For an
+    intersection constraint, chain is the `mi_extreme_chain` the probe
+    at lam computed over the search's scope, or None when the
+    certificate was built without one.
     """
 
     lam: Fraction
@@ -78,16 +81,24 @@ class LagrangianCertificate:
     s_plus: frozenset[int] | None
     value: Fraction
     probes: int
+    chain: tuple[frozenset[int], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def relaxation_solve(
-    inst: BCInstance, lam: Fraction | int, scope: Scope | None = None
-) -> tuple[frozenset[int], Fraction]:
+    inst: BCInstance,
+    lam: Fraction | int,
+    scope: Scope | None = None,
+    with_chain: bool = False,
+) -> tuple:
     """Maximize p(S) − λ·c(S) over the scope's residual (budget ignored).
 
     Zero-cost elements are force-included afterwards in descending
     (profit, then id) order whenever the constraint permits; they never
-    lower the objective.
+    lower the objective.  Returns (S, value); with with_chain, (S,
+    value, chain), chain being the `mi_extreme_chain` behind S for an
+    intersection constraint and None for a matching.
     """
     lam = _rat(lam)
     if lam < 0:
@@ -95,10 +106,12 @@ def relaxation_solve(
     scope = scope or whole(inst)
     weights = relaxation_weights(inst, lam, scope.ids)
     c = inst.constraint
+    chain = None
     if c.kind == "matching":
         chosen = set(max_weight_matching(c.graph, weights))
     else:
-        chosen = set(mi_extreme_chain(c.m1, c.m2, weights, scope.base)[-1])
+        chain = tuple(mi_extreme_chain(c.m1, c.m2, weights, scope.base))
+        chosen = set(chain[-1])
     P, C = inst.int_profit, inst.int_cost
     free = [e for e in scope.ids if C[e] == 0 and e not in chosen]
     free.sort(key=lambda e: (-P[e], e))
@@ -108,7 +121,10 @@ def relaxation_solve(
         if nxt is not None:
             chosen.add(e)
             state = nxt
-    return frozenset(chosen), inst.profit_of(chosen) - lam * inst.cost_of(chosen)
+    value = inst.profit_of(chosen) - lam * inst.cost_of(chosen)
+    if with_chain:
+        return frozenset(chosen), value, chain
+    return frozenset(chosen), value
 
 
 MAX_PROBES = 64
@@ -123,15 +139,19 @@ def lagrangian_search(
     The midpoint is the intersection of the two bracket lines when that
     is informative, which snaps onto exact breakpoints; otherwise the
     plain midpoint.  Tracks the probe count across all oracle calls.
+    The chain of every probe is kept by λ, since a breakpoint can end
+    the search at an earlier probe's λ, and the certificate carries the
+    one at its lam.
     """
     scope = scope or whole(inst)
     C, budget = inst.int_cost, scope.budget
     probes = 0
+    chains: dict[Fraction, tuple[frozenset[int], ...] | None] = {}
 
     def probe(lam: Fraction) -> tuple[frozenset[int], Fraction, int]:
         nonlocal probes
         probes += 1
-        s, value = relaxation_solve(inst, lam, scope)
+        s, value, chains[lam] = relaxation_solve(inst, lam, scope, with_chain=True)
         return s, value, sum(C[e] for e in s)
 
     zero = Fraction(0)
@@ -145,6 +165,7 @@ def lagrangian_search(
             s_plus=None,
             value=v0,
             probes=probes,
+            chain=chains[zero],
         )
     # c0 > budget ≥ 0 implies some cost is positive
     min_cost = min(inst.cost[e] for e in scope.ids if C[e] > 0)
@@ -183,6 +204,7 @@ def lagrangian_search(
         s_plus=s_lo,
         value=line_value(s_hi, lam_hi),
         probes=probes,
+        chain=chains[lam_hi],
     )
 
 
@@ -277,8 +299,9 @@ def patch_intersection(
     residual; s_minus greedily extended by elements of s_plus \\ s_minus
     in descending profit while common independence and the budget hold;
     and every budget-feasible set of the per-size optimal chain at the
-    certificate's λ.  The contract inequality is enforced by the corpus
-    tests, not claimed.
+    certificate's λ, the one the certificate carries when it has one.
+    The contract inequality is enforced by the corpus tests, not
+    claimed.
     """
     if inst.constraint.kind != "matroid_intersection":
         raise InputError("patch_intersection requires an intersection constraint")
@@ -302,8 +325,11 @@ def patch_intersection(
             state = nxt
             cur_cost += C[e]
     best = min(best, _key(inst, chosen))
-    weights = relaxation_weights(inst, cert.lam, scope.ids)
-    for link in mi_extreme_chain(c.m1, c.m2, weights, scope.base):
+    chain = cert.chain
+    if chain is None:
+        weights = relaxation_weights(inst, cert.lam, scope.ids)
+        chain = mi_extreme_chain(c.m1, c.m2, weights, scope.base)
+    for link in chain:
         if _fits(inst, scope, link):
             best = min(best, _key(inst, link))
     return _winner(inst, scope, best, "patch_intersection")

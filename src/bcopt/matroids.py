@@ -48,6 +48,12 @@ class Matroid:
     query per y and assumes no heredity, so it holds for any family;
     an override must return exactly what that loop returns, for every
     smask, dependent ones included.
+
+    addable(smask, among) lists the elements that extend smask: the
+    bits x of among (disjoint from smask) for which smask + x is
+    independent.  The default asks one independence query per x; an
+    override must likewise return exactly what that loop returns, for
+    every smask, dependent ones included.
     """
 
     kind = "abstract"
@@ -94,6 +100,16 @@ class Matroid:
                 out |= low
         return out
 
+    def addable(self, smask: int, among: int) -> int:
+        out = 0
+        rest = among
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if self.independent_mask(smask | low):
+                out |= low
+        return out
+
     def full_rank(self) -> int:
         """An upper bound on the size of every independent set: the size
         of a greedy basis, exact on a matroid, where every maximal
@@ -124,6 +140,9 @@ class UniformMatroid(Matroid):
     def swaps(self, smask: int, x: int, among: int) -> int:
         # every swap keeps the size of smask
         return among if smask.bit_count() <= self.rank else 0
+
+    def addable(self, smask: int, among: int) -> int:
+        return among if smask.bit_count() < self.rank else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniformMatroid):
@@ -193,6 +212,22 @@ class PartitionMatroid(Matroid):
         # and only a swap inside it keeps it in capacity
         bm, cap = self._block_of[x]
         return among if (smask & bm).bit_count() < cap else among & bm
+
+    def addable(self, smask: int, among: int) -> int:
+        if not self.independent_mask(smask):
+            return super().addable(smask, among)
+        # smask fits every block; x extends it when x's block has room,
+        # so among's bits pass or fail a whole block at a time
+        block_of = self._block_of
+        out = 0
+        rest = among
+        while rest:
+            bm, cap = block_of[rest.bit_length() - 1]
+            hit = rest & bm
+            if (smask & bm).bit_count() < cap:
+                out |= hit
+            rest ^= hit
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartitionMatroid):
@@ -358,7 +393,9 @@ class ExplicitMatroid(Matroid):
 
     from_table builds an oracle from a raw list of independent sets with
     no closure applied; that mode exists to construct axiom violations
-    for testing and cannot be serialized.
+    for testing and cannot be serialized.  `hereditary` tells whether
+    such a table is closed under taking subsets, which every subset
+    walk assumes.
     """
 
     kind = "explicit"
@@ -383,6 +420,21 @@ class ExplicitMatroid(Matroid):
             if m & ~self.ground_mask:
                 raise InputError("independent set leaves the ground set")
         return self
+
+    def hereditary(self) -> bool:
+        """True iff every subset of an independent set is independent:
+        always for the maximal-set form; for a raw table, iff removing
+        any one element from a listed set leaves a listed set or ∅."""
+        if self._table is None:
+            return True
+        for m in self._table:
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not self.independent_mask(m ^ low):
+                    return False
+        return True
 
     @property
     def maximal_independent_sets(self) -> tuple[frozenset[int], ...]:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .errors import DegenerateAlpha, InputError
 from .graphs import Graph, _is_int
-from .matroids import Matroid
+from .matroids import ExplicitMatroid, Matroid
 
 
 def _rat(x: Fraction | int) -> Fraction:
@@ -92,13 +92,18 @@ class MatchingConstraint:
 
 class MatroidIntersectionConstraint:
     """Feasible sets are common independent sets of two matroids over
-    the same ground set.  A walk state is the set's element mask."""
+    the same ground set.  A walk state is the set's element mask.  A
+    raw-table `ExplicitMatroid` must be hereditary, since every walk
+    prunes a set's supersets once the set is infeasible."""
 
     kind = "matroid_intersection"
 
     def __init__(self, m1: Matroid, m2: Matroid):
         if m1.ground != m2.ground:
             raise InputError("the two matroids must share a ground set")
+        for m in (m1, m2):
+            if isinstance(m, ExplicitMatroid) and not m.hereditary():
+                raise InputError("an explicit independence table is not hereditary")
         self.m1 = m1
         self.m2 = m2
         self.ground = m1.ground

@@ -45,7 +45,7 @@ from . import blossom
 from .errors import CapacityError, InputError
 from .exchange import class_members
 from .graphs import Graph
-from .matroids import Matroid, _ids_of, _mask_of
+from .matroids import Matroid, _ids_of
 from .model import BCInstance, ProfitClassing, Solution, _check_epsilon
 
 
@@ -307,47 +307,70 @@ def _best_augmenting_path(
     mask smask also holds any base set outside elems.
 
     Node length is −w outside the set, +w inside; sources are elements
-    addable in the first matroid, sinks addable in the second.  The
-    min-length min-hop choice is what keeps the augmented set extreme.
+    addable in the first matroid, sinks addable in the second, each
+    list one `Matroid.addable` call.  The min-length min-hop choice is
+    what keeps the augmented set extreme.
 
     The arcs come from one `Matroid.swaps` call per matroid and element
     x outside the set: y → x when S − y + x is independent in the first
-    matroid, x → y when it is in the second.  Each arc list keeps the
-    order of the per-pair queries they replace (x ascending from y, y
-    ascending from x), so labels, and the path chosen, are unchanged.
+    matroid, x → y when it is in the second.  They are kept as head
+    sets, each shared by a set of tails: the x whose first-matroid mask
+    is M are the heads of every y in M, and the members of x's own
+    second-matroid mask are the heads of every x with that mask.
+    Uniform and partition matroids give a handful of distinct masks.
 
     Each element keeps one label, the least key over the walks from a
-    source to it, relaxed along the arcs in rounds over changed labels.
-    The chain's sets are extreme, so there is no negative cycle: the
-    least walk to a sink is a simple path (cutting out a cycle never
-    lengthens a walk and saves hops) whose prefixes are least walks;
-    a hop-layered search over simple paths keeping the least entry per
-    element per hop therefore picks it too.  Labels settle within
-    len(elems) − 1 rounds; the cap only ends the search off matroids.
+    source to it, relaxed in rounds over changed labels.  In a round,
+    each head set is relaxed from the least-labelled of its changed
+    tails only: any other tail u' loses to that tail u at every head v,
+    since both add v's length and one hop, and when the lengths and
+    hops tie, the sequences of u and u' have one length, so appending v
+    to both keeps seq(u) < seq(u').  The labels therefore settle at the
+    least walk keys, the same as when every arc is relaxed.  The chain's
+    sets are extreme, so there is no negative cycle: the least walk to
+    a sink is a simple path (cutting out a cycle never lengthens a walk
+    and saves hops) whose prefixes are least walks; a hop-layered search
+    over simple paths keeping the least entry per element per hop
+    therefore picks it too.  Labels settle within len(elems) − 1
+    rounds; the cap only ends the search off matroids.
     """
-    inside = [e for e in elems if smask >> e & 1]
-    outside = [e for e in elems if not smask >> e & 1]
-    x1 = [x for x in outside if m1.independent_mask(smask | (1 << x))]
-    x2 = [x for x in outside if m2.independent_mask(smask | (1 << x))]
-    if not x1 or not x2:
+    among = 0  # the elements in the set, which a swap can take out
+    outside = 0
+    for e in elems:
+        if smask >> e & 1:
+            among |= 1 << e
+        else:
+            outside |= 1 << e
+    sources = m1.addable(smask, outside)
+    sinks = m2.addable(smask, outside)
+    if not sources or not sinks:
         return None
-    among = _mask_of(inside)
-    members: dict[int, tuple[int, ...]] = {}
-    arcs: dict[int, list[int]] = {y: [] for y in inside}
-    for x in outside:
-        for y in _members(members, m1.swaps(smask, x, among)):
-            arcs[y].append(x)
-        arcs[x] = list(_members(members, m2.swaps(smask, x, among)))
+    # heads[M]: the x whose first-matroid swaps are M; tails[M]: the x
+    # whose second-matroid swaps are M
+    heads: dict[int, int] = {}
+    tails: dict[int, int] = {}
+    for x in _ids_of(outside):
+        bit = 1 << x
+        m = m1.swaps(smask, x, among)
+        heads[m] = heads.get(m, 0) | bit
+        m = m2.swaps(smask, x, among)
+        tails[m] = tails.get(m, 0) | bit
+    # (tails mask, ascending heads) of each distinct arc set
+    arcs = [(t, _ids_of(h)) for t, h in heads.items() if t]
+    arcs += [(t, _ids_of(h)) for h, t in tails.items() if h]
     length = {e: (w[e] if smask >> e & 1 else -w[e]) for e in elems}
 
-    label = {v: (length[v], 0, (v,)) for v in x1}
-    changed = x1
+    label = {v: (length[v], 0, (v,)) for v in _ids_of(sources)}
+    changed = sources
     for _ in elems:
-        touched = set()
-        for u in changed:
-            base_len, hops, seq = label[u]
+        touched = 0
+        for tmask, hs in arcs:
+            live = tmask & changed
+            if not live:
+                continue
+            base_len, hops, seq = min(label[u] for u in _ids_of(live))
             hops += 1
-            for v in arcs[u]:
+            for v in hs:
                 new_len = base_len + length[v]
                 cur = label.get(v)
                 # the key (length, hops, sequence) against v's label,
@@ -361,19 +384,11 @@ def _best_augmenting_path(
                 ):
                     continue
                 label[v] = (new_len, hops, seq + (v,))
-                touched.add(v)
+                touched |= 1 << v
         if not touched:
             break
-        changed = sorted(touched)
-    return min((label[x] for x in x2 if x in label), default=None)
-
-
-def _members(memo: dict[int, tuple[int, ...]], mask: int) -> tuple[int, ...]:
-    """The ascending ids of mask, decoded once per distinct mask."""
-    got = memo.get(mask)
-    if got is None:
-        got = memo[mask] = _ids_of(mask)
-    return got
+        changed = touched
+    return min((label[x] for x in _ids_of(sinks) if x in label), default=None)
 
 
 MAX_ENUM = 20

@@ -144,3 +144,21 @@ def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypat
             bound = R.ceiling(copy, copy.constraint.state_of(f), pool,
                               copy.int_budget - sum(C[e] for e in f))
             assert sum(P[e] for e in f) + bound < alpha_int, f
+
+
+def test_intersection_rejects_a_table_that_is_not_hereditary():
+    # every walk prunes the supersets of an infeasible set, so on this
+    # table it stopped at {1} and missed {1, 2}: exact search returned
+    # (0,), profit 5, where {1, 2} is feasible with profit 10
+    m1 = B.ExplicitMatroid.from_table(range(3), [[], [0], [1, 2]])
+    m2 = B.UniformMatroid(range(3), 3)
+    with pytest.raises(B.InputError, match="not hereditary"):
+        B.MatroidIntersectionConstraint(m1, m2)
+    with pytest.raises(B.InputError, match="not hereditary"):
+        B.MatroidIntersectionConstraint(m2, m1)
+    # the table itself stays constructible, for `axiom_check`
+    assert not B.axiom_check(m1).ok
+    closed = B.ExplicitMatroid.from_table(range(3), [[], [0], [1], [2], [1, 2]])
+    els = [B.Element(i, 5, 1) for i in range(3)]
+    inst = B.BCInstance(els, B.MatroidIntersectionConstraint(closed, m2), 3)
+    assert B.brute_force_opt(inst).ids == (1, 2)

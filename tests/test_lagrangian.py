@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pathlib
 from fractions import Fraction as F
@@ -5,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 import bcopt as B
-from bcopt import blossom, cli
+from bcopt import blossom, cli, lagrangian
 from bcopt.errors import CapacityError, InputError
 from bcopt.lagrangian import LagrangianCertificate
+from bcopt.model import relaxation_weights
+from util import bi_pairs
 
 
 def path_instance():
@@ -235,3 +238,34 @@ def test_blossom_receives_integer_weights(monkeypatch, capsys):
     capsys.readouterr()
     assert seen
     assert all(type(w) is int for w in seen)
+
+
+def test_patch_intersection_reuses_the_probe_chain(monkeypatch):
+    # the probe at cert.lam computed the chain the patch reads, so a
+    # Lagrangian BI solve asks one chain per probe and none more
+    real = lagrangian.mi_extreme_chain
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    for seed in range(4):
+        pairs = bi_pairs(seed, 20)
+        c = pairs.constraint
+        tight = sum(e.cost for e in pairs.elements) / 10
+        inst = B.BCInstance(pairs.elements, c, tight)
+        cert = B.lagrangian_search(inst)
+        assert cert.s_plus is not None
+        weights = relaxation_weights(inst, cert.lam)
+        assert cert.chain == tuple(real(c.m1, c.m2, weights))
+        fresh = dataclasses.replace(cert, chain=None)
+        assert fresh == cert
+        assert B.patch_intersection(inst, fresh) == B.patch_intersection(inst, cert)
+        with monkeypatch.context() as mp:
+            mp.setattr(lagrangian, "mi_extreme_chain", counting)
+            calls = 0
+            sol = B.non_profitable_solve(inst, strategy="lagrangian")
+        assert calls == cert.probes
+        assert sol == B.patch_intersection(inst, fresh)

@@ -331,6 +331,19 @@ def test_swaps_override_equals_query_loop(seed):
         assert m.swaps(smask, x, among) == B.Matroid.swaps(m, smask, x, among)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_addable_override_equals_query_loop(seed):
+    # the closed forms list exactly what one independence query per x
+    # does, for dependent sets and capacity-0 blocks too
+    rng = random.Random(seed)
+    m = _random_block_matroid(rng)
+    for _ in range(10):
+        smask = _random_submask(rng, m.ground_mask)
+        among = _random_submask(rng, m.ground_mask & ~smask)
+        assert m.addable(smask, among) == B.Matroid.addable(m, smask, among)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_partition_independence_counts_every_block(seed):
@@ -345,6 +358,24 @@ def test_partition_independence_counts_every_block(seed):
             for blk, cap in zip(m.blocks, m.capacities)
         )
         assert m.independent_mask(mask) == want
+
+
+def test_addable_closed_forms_by_hand():
+    u = B.UniformMatroid(range(5), 2)
+    assert u.addable(0b00001, 0b11100) == 0b11100   # room for one more
+    assert u.addable(0b00011, 0b11100) == 0         # |S| = rank
+    p = B.PartitionMatroid(range(6), [[0, 1, 2], [3, 4], [5]], [2, 1, 0])
+    assert p.addable(0b001001, 0b110110) == 0b000110  # block 1 full, 2 cap 0
+    assert p.addable(0b000011, 0b111100) == 0b011000  # block 0 full
+    assert p.addable(0b011000, 0b000111) == 0         # dependent S: the loop
+
+
+def test_hereditary_tells_raw_tables_apart():
+    assert B.ExplicitMatroid(range(3), [[0, 1], [2]]).hereditary()
+    assert B.ExplicitMatroid.from_table(range(3), [[], [0], [1], [0, 1]]).hereditary()
+    # ∅ is independent whether or not the table lists it
+    assert B.ExplicitMatroid.from_table(range(2), [[0]]).hereditary()
+    assert not B.ExplicitMatroid.from_table(range(3), [[], [0], [1, 2]]).hereditary()
 
 
 def test_swaps_closed_forms_by_hand():

@@ -276,11 +276,62 @@ def test_mi_extreme_chain_matches_reference_with_capacities_and_a_base(
     assert B.mi_extreme_chain(m1, m2, w, base) == chain
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_augmenting_path_when_many_tails_share_a_head_set(seed, monkeypatch):
+    # weights 1 and 2 tie many (length, hops) keys, and blocks of
+    # capacity 2 or 3, some full, give many tails one head set: the
+    # search must relax each head set from the tail whose sequence is
+    # least, at every augmentation of the chain
+    rng = random.Random(seed)
+    n = 24
+    m1 = random_partition(rng, range(n), 5, 2, 3)
+    m2 = random_partition(rng, range(n), 4, 2, 3)
+    base = 0
+    for e in rng.sample(range(n), 4):
+        cand = base | 1 << e
+        if m1.independent_mask(cand) and m2.independent_mask(cand):
+            base = cand
+    assert base
+    w = {e: F(rng.randint(1, 2)) for e in range(n) if not base >> e & 1}
+    chain = _reference_chain(monkeypatch, m1, m2, w, base)
+    assert len(chain) > 3
+    assert B.mi_extreme_chain(m1, m2, w, base) == chain
+    # the x that share a nonempty second-matroid mask are tails with
+    # one head set
+    shared = 0
+    for s in chain:
+        smask = base | sum(1 << e for e in s)
+        masks = [m2.swaps(smask, x, smask & ~base) for x in w if not smask >> x & 1]
+        shared = max([shared, *(masks.count(m) for m in masks if m)])
+    assert shared >= 3
+
+
+def test_augmenting_path_relaxes_a_head_set_from_its_least_tail(monkeypatch):
+    # S = the inside block {4..7}, with base 9 sharing its first-matroid
+    # block (capacity 5, full): every y in S swaps for the sink 8, so
+    # the y are four tails of one head set.  Each y is reached from one
+    # source (second-matroid pairs {i, 7 − i}, capacity 1), and all tie
+    # on (length 0, 1 hop); the least sequence, (0, 7), belongs to the
+    # tail with the largest id
+    m1 = B.PartitionMatroid(range(10), [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]], [4, 5])
+    m2 = B.PartitionMatroid(
+        range(10), [[0, 7], [1, 6], [2, 5], [3, 4], [8], [9]], [1] * 6
+    )
+    elems = range(9)
+    w = {e: F(1) for e in elems}
+    args = (m1, m2, w, elems, 0b1011110000)
+    assert oracles._best_augmenting_path(*args) == (F(-1), 2, (0, 7, 8))
+    assert reference_best_augmenting_path(*args) == (F(-1), 2, (0, 7, 8))
+    chain = _reference_chain(monkeypatch, m1, m2, w, 1 << 9)
+    assert B.mi_extreme_chain(m1, m2, w, 1 << 9) == chain
+
+
 @pytest.mark.parametrize("first", ["uniform", "partition"])
 def test_augmentation_queries_grow_with_the_outside_only(first, monkeypatch):
-    # one query per source and sink candidate, and partition's swaps one
-    # more per x: O(|E∖S|) per augmentation, where querying every
-    # (y, x) pair would take 2·|S|·|E∖S|
+    # the uniform matroids answer addable and swaps with no query; a
+    # partition matroid asks whether S is independent once for its
+    # sources and once per x for its swaps: |E∖S| + 1 per augmentation,
+    # where querying every (y, x) pair would take 2·|S|·|E∖S|
     n = 40
     rng = random.Random(first)
     if first == "uniform":
@@ -312,7 +363,7 @@ def test_augmentation_queries_grow_with_the_outside_only(first, monkeypatch):
     chain = B.mi_extreme_chain(m1, m2, w)
     assert len(chain) > 8
     for got, inside, outside in seen:
-        assert got <= 3 * outside
+        assert got <= (0 if first == "uniform" else outside + 1)
     assert any(2 * i * o > 4 * got for got, i, o in seen)
 
 

@@ -38,9 +38,6 @@ from .matroids import (
     UniformMatroid,
     axiom_check,
     min_cost_basis,
-    restrict,
-    thin,
-    truncate,
 )
 from .model import (
     BCInstance,
@@ -147,10 +144,7 @@ __all__ = [
     "relaxation_solve",
     "repset",
     "residual_tail",
-    "restrict",
     "scheme_params",
     "solution_to_dict",
-    "thin",
-    "truncate",
     "two_approx",
 ]

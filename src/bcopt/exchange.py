@@ -11,7 +11,7 @@ from typing import Callable, Iterable
 
 from .errors import InputError, InvariantError
 from .graphs import greedy_matching
-from .matroids import min_cost_basis, restrict, truncate
+from .matroids import _ids_of, min_cost_basis
 from .model import (
     BCInstance,
     ProfitClassing,
@@ -83,10 +83,11 @@ def extend_chain(
     """Recursive chain extension for matroid-intersection classes.
 
     From the current first-matroid-independent set S: the universe U_S
-    holds the class members addable under I₁; B_S is the (cost, id)
-    minimum basis of the second matroid restricted to U_S and truncated
-    at q_eff; the result is B_S plus the recursion into S+b for each
-    b ∈ B_S.  Recursion stops at |S| ≥ q_eff + 1.  Equal chains are
+    holds the class members that S can add in the first matroid
+    (`addable`); B_S is the (cost, id) greedy basis of the second
+    matroid over U_S, stopped at q_eff elements (`min_cost_basis` with
+    among and limit); the result is B_S plus the recursion into S+b for
+    each b ∈ B_S.  Recursion stops at |S| ≥ q_eff + 1.  Equal chains are
     expanded once (memoized); basis_hook and size_cutoff exist so tests
     can pin recursion shapes directly.
     """
@@ -105,7 +106,7 @@ def extend_chain(
     if memo is None:
         memo = {}
 
-    member_set = set(members)
+    member_mask = inst.mask_of(members)
 
     def rec(s: frozenset[int]) -> frozenset[int]:
         if len(s) >= cutoff:
@@ -115,22 +116,12 @@ def extend_chain(
             return got
         if trace is not None:
             trace[len(s)] = trace.get(len(s), 0) + 1
-        smask = 0
-        for e in s:
-            smask |= 1 << e
-        universe = [
-            e
-            for e in sorted(member_set - s)
-            if m1.independent_mask(smask | (1 << e))
-        ]
+        smask = inst.mask_of(s)
+        universe = _ids_of(m1.addable(smask, member_mask & ~smask))
         if basis_hook is not None:
             basis = sorted(basis_hook(s))
         else:
-            basis = sorted(
-                min_cost_basis(
-                    truncate(restrict(m2, universe), params.q_eff), inst.int_cost
-                )
-            )
+            basis = sorted(min_cost_basis(m2, inst.int_cost, universe, params.q_eff))
         out = set(basis)
         for b in basis:
             out |= rec(s | {b})

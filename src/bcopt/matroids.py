@@ -1,9 +1,8 @@
-"""Matroid oracles: concrete families, combinators, greedy bases, and an
-axiom checker.
+"""Matroid oracles: concrete families, greedy bases, and an axiom checker.
 
 Ground elements are non-negative integer ids; independence queries go
-through bitmasks with bit position = element id, so masks built against a
-parent matroid remain valid for its restrictions/thinnings/truncations.
+through bitmasks with bit position = element id, so a mask means the same
+set in every matroid over those ids.
 All oracles memoize mask queries; dict operations are atomic under the
 GIL, so shared use from threads is safe (at worst a value is computed
 twice).
@@ -20,10 +19,22 @@ from .errors import InputError
 from .graphs import Graph, _is_int
 
 
-def _mask_of(ids: Iterable[int]) -> int:
+def _mask_of(ids: Iterable[int], distinct: bool = False) -> int:
+    """The bitmask of ids.  Raises InputError unless ids is iterable and
+    every id is a non-negative int (no bool), and, when distinct is set,
+    on an id listed twice."""
+    try:
+        ids = iter(ids)
+    except TypeError:
+        raise InputError(f"expected a list of element ids, got {ids!r}") from None
     m = 0
     for e in ids:
-        m |= 1 << e
+        if not _is_int(e) or e < 0:
+            raise InputError(f"bad element id: {e!r}")
+        bit = 1 << e
+        if distinct and m & bit:
+            raise InputError(f"duplicate element id: {e}")
+        m |= bit
     return m
 
 
@@ -59,23 +70,13 @@ class Matroid:
     kind = "abstract"
 
     def __init__(self, ground: Iterable[int]):
-        ids = sorted(set(ground))
-        for e in ids:
-            if not _is_int(e) or e < 0:
-                raise InputError(f"bad element id: {e!r}")
-        self.ground: frozenset[int] = frozenset(ids)
-        self.ground_list: tuple[int, ...] = tuple(ids)
-        self.ground_mask: int = _mask_of(ids)
+        self.ground_mask: int = _mask_of(ground)
+        self.ground_list: tuple[int, ...] = _ids_of(self.ground_mask)
+        self.ground: frozenset[int] = frozenset(self.ground_list)
         self._memo: dict[int, bool] = {0: True}
 
     def is_independent(self, ids: Iterable[int]) -> bool:
-        mask = 0
-        for e in ids:
-            bit = 1 << e
-            if not bit & self.ground_mask:
-                raise InputError(f"element {e!r} not in ground set")
-            mask |= bit
-        return self.independent_mask(mask)
+        return self.independent_mask(_mask_of(ids))
 
     def independent_mask(self, mask: int) -> bool:
         if mask & ~self.ground_mask:
@@ -113,8 +114,8 @@ class Matroid:
     def full_rank(self) -> int:
         """An upper bound on the size of every independent set: the size
         of a greedy basis, exact on a matroid, where every maximal
-        independent set is a basis.  ExplicitMatroid and the wrappers
-        override it so that it bounds families that are no matroid."""
+        independent set is a basis.  ExplicitMatroid overrides it so
+        that it bounds families that are no matroid."""
         chosen = 0
         for e in self.ground_list:
             if self.independent_mask(chosen | (1 << e)):
@@ -168,14 +169,9 @@ class PartitionMatroid(Matroid):
         block_masks: list[int] = []
         seen = 0
         for i, blk in enumerate(blocks):
-            bm = 0
-            for e in blk:
-                bit = 1 << e
-                if not bit & self.ground_mask:
-                    raise InputError(f"block {i}: element {e} not in ground set")
-                if bit & bm:
-                    raise InputError(f"block {i}: duplicate element {e}")
-                bm |= bit
+            bm = _mask_of(blk, distinct=True)
+            if bm & ~self.ground_mask:
+                raise InputError(f"block {i} leaves the ground set")
             if bm & seen:
                 raise InputError(f"block {i} overlaps an earlier block")
             seen |= bm
@@ -464,93 +460,37 @@ class ExplicitMatroid(Matroid):
         )
 
 
-class _Restriction(Matroid):
-    kind = "restriction"
-
-    def __init__(self, parent: Matroid, keep_mask: int):
-        super().__init__(_ids_of(keep_mask))
-        self.parent = parent
-
-    def _indep_mask(self, mask: int) -> bool:
-        return self.parent.independent_mask(mask)
-
-    # each wrapper bounds full_rank by its parent's, which holds when the
-    # parent is no matroid
-    def full_rank(self) -> int:
-        return self.parent.full_rank()
-
-
-class _Thinning(Matroid):
-    """Contraction by an independent set F: S independent here iff
-    S ∪ F is independent in the parent."""
-
-    kind = "thinning"
-
-    def __init__(self, parent: Matroid, fmask: int):
-        super().__init__(_ids_of(parent.ground_mask & ~fmask))
-        self.parent = parent
-        self.fmask = fmask
-
-    def _indep_mask(self, mask: int) -> bool:
-        return self.parent.independent_mask(mask | self.fmask)
-
-    def full_rank(self) -> int:
-        return self.parent.full_rank() - self.fmask.bit_count()
-
-
-class _Truncation(Matroid):
-    kind = "truncation"
-
-    def __init__(self, parent: Matroid, limit: int):
-        super().__init__(parent.ground_list)
-        self.parent = parent
-        self.limit = limit
-
-    def _indep_mask(self, mask: int) -> bool:
-        return mask.bit_count() <= self.limit and self.parent.independent_mask(mask)
-
-    def full_rank(self) -> int:
-        return min(self.limit, self.parent.full_rank())
-
-
-def restrict(matroid: Matroid, keep: Iterable[int]) -> Matroid:
-    """Restriction to the elements in keep."""
-    keep_mask = _mask_of(keep)
-    if keep_mask & ~matroid.ground_mask:
-        raise InputError("restriction set leaves the ground set")
-    return _Restriction(matroid, keep_mask)
-
-
-def thin(matroid: Matroid, remove: Iterable[int]) -> Matroid:
-    """Contraction by an independent set (ground shrinks by it)."""
-    fmask = _mask_of(remove)
-    if fmask & ~matroid.ground_mask:
-        raise InputError("thinning set leaves the ground set")
-    if not matroid.independent_mask(fmask):
-        raise InputError("thinning set must be independent")
-    return _Thinning(matroid, fmask)
-
-
-def truncate(matroid: Matroid, limit: int) -> Matroid:
-    """Cap independent-set size at limit."""
-    if not _is_int(limit) or limit < 0:
-        raise InputError(f"bad truncation limit: {limit!r}")
-    return _Truncation(matroid, limit)
-
-
 def min_cost_basis(
-    matroid: Matroid, cost: Mapping[int, Fraction] | Sequence[int]
+    matroid: Matroid,
+    cost: Mapping[int, Fraction] | Sequence[int],
+    among: Iterable[int] | None = None,
+    limit: int | None = None,
 ) -> frozenset[int]:
     """Greedy minimum-cost basis, scanning elements by (cost, id).
 
+    The scan covers among (default: the ground set) and stops once it
+    holds limit elements (default: no limit), which makes the result the
+    basis of the matroid restricted to among and truncated at limit.
     For a valid matroid oracle this is an exact minimum-cost maximal
     independent set; ties resolve to the lexicographically smallest ids.
     """
+    if limit is not None and (not _is_int(limit) or limit < 0):
+        raise InputError(f"bad basis limit: {limit!r}")
+    pool = matroid.ground_list
+    if among is not None:
+        mask = _mask_of(among)
+        if mask & ~matroid.ground_mask:
+            raise InputError("basis pool leaves the ground set")
+        pool = _ids_of(mask)
+    if limit == 0:
+        return frozenset()
     chosen = 0
-    for e in sorted(matroid.ground_list, key=lambda x: (cost[x], x)):
+    for e in sorted(pool, key=lambda x: (cost[x], x)):
         cand = chosen | (1 << e)
         if matroid.independent_mask(cand):
             chosen = cand
+            if cand.bit_count() == limit:
+                break
     return frozenset(_ids_of(chosen))
 
 

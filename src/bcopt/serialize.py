@@ -49,6 +49,9 @@ def parse_rational(value: Any) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise InputError(f"bad rational {value!r}: zero denominator") from None
+        except ValueError:
+            # past Python's limit on the digits of an int literal
+            raise InputError(f"bad rational of {len(value)} characters: too long") from None
     raise InputError(f"expected a rational (int or string), got {value!r}")
 
 
@@ -264,7 +267,8 @@ def load_instance(path: str) -> BCInstance:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     return instance_from_dict(data)
 

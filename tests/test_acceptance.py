@@ -16,6 +16,7 @@ import bcopt as B
 from bcopt.cli import main as cli_main
 
 from util import (
+    Contraction,
     all_independent_sets,
     brute_max_weight,
     all_matchings,
@@ -138,7 +139,7 @@ def test_criterion_07_two_approximation(corpus):
 
 def test_criterion_08_matroid_layer():
     """Axioms hold exhaustively for the concrete matroids and their
-    combinator compositions; the greedy minimum basis matches brute
+    restrictions and contractions; the greedy minimum basis matches brute
     force; and the three basis-exchange facts hold on tabulated
     matroids up to 8 elements."""
     cycle = B.Graph(5, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 0), 5: (0, 2)})
@@ -154,10 +155,8 @@ def test_criterion_08_matroid_layer():
     composed = []
     for m in concrete:
         ground = m.ground_list
-        composed.append(B.restrict(m, ground[: max(1, len(ground) - 2)]))
-        composed.append(B.truncate(m, 2))
-        composed.append(B.thin(m, ground[:1]))
-        composed.append(B.truncate(B.restrict(m, ground[1:]), 3))
+        composed.append(Contraction(m, [], ground[: max(1, len(ground) - 2)]))
+        composed.append(Contraction(m, ground[:1], ground[1:]))
     for m in concrete + composed:
         assert len(m.ground_list) <= 12
         report = B.axiom_check(m)
@@ -209,13 +208,13 @@ def test_criterion_08_matroid_layer():
                     for d in _subsets(sorted(A - S), need)
                 )
 
-        # swaps into a minimum basis of a truncated restriction never
-        # cost more than the element they replace
+        # swaps into a minimum basis of a truncated restriction (the
+        # greedy over u stopped at q elements) never cost more than the
+        # element they replace
         for _ in range(8):
             u = frozenset(e for e in range(n) if rng.random() < 0.6)
             for q in (1, 2, 3):
-                sub = B.truncate(B.restrict(m, sorted(u)), q)
-                bq = B.min_cost_basis(sub, cost)
+                bq = B.min_cost_basis(m, cost, among=u, limit=q)
                 for delta in indep:
                     if len(delta) > q:
                         continue

@@ -420,3 +420,38 @@ def test_verify_exchange_set_rejects_unknown_class(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert err == "input error: class index 999 outside 1..3\n"
+
+
+def _bi_004_with(tmp_path, edit):
+    data = json.loads((FIXTURES / "corpus" / "bi_004.json").read_text())
+    text = edit(data) or json.dumps(data)
+    path = tmp_path / "edited.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_string_id_in_a_matroid_spec_exits_2(tmp_path, capsys):
+    def edit(data):
+        data["constraint"]["matroids"][0]["blocks"][0][0] = "a"
+
+    code, out, err = run(capsys, ["exact", _bi_004_with(tmp_path, edit)])
+    assert code == 2 and out == ""
+    assert err == "input error: bad element id: 'a'\n"
+
+
+@pytest.mark.parametrize("where", ["string profit", "integer budget"])
+def test_overlong_numerals_exit_2(where, tmp_path, capsys):
+    """Numerals past Python's int digit limit (4,300 digits by default)
+    are input errors, whether a string rational or a JSON integer."""
+    digits = "1" * 5000
+
+    def edit(data):
+        if where == "string profit":
+            data["elements"][0]["profit"] = digits
+        else:
+            data["budget"] = "BUDGET"
+            return json.dumps(data).replace('"BUDGET"', digits)
+
+    code, out, err = run(capsys, ["solve", _bi_004_with(tmp_path, edit), "--epsilon", "1/2"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ")

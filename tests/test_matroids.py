@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import bcopt as B
 from bcopt.errors import InputError
-from util import all_independent_sets, explicit_copy, random_matroid, random_partition
+from util import (
+    Contraction,
+    all_independent_sets,
+    explicit_copy,
+    random_matroid,
+    random_partition,
+)
 
 FIG1_GRAPH = B.Graph(5, {0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)})
 
@@ -80,12 +86,12 @@ def test_explicit_basics():
 
 
 def test_restrict_examples():
-    m = B.restrict(B.UniformMatroid(range(3), 2), [0])
+    m = Contraction(B.UniformMatroid(range(3), 2), [], [0])
     assert sorted(all_independent_sets(m)) in ([frozenset(), frozenset({0})],)
     full = B.UniformMatroid(range(3), 2)
-    same = B.restrict(full, range(3))
+    same = Contraction(full, [], range(3))
     assert all_independent_sets(same) == all_independent_sets(full)
-    g = B.restrict(B.GraphicMatroid(FIG1_GRAPH), [0, 1])
+    g = Contraction(B.GraphicMatroid(FIG1_GRAPH), [], [0, 1])
     assert set(all_independent_sets(g)) == {
         frozenset(),
         frozenset({0}),
@@ -96,35 +102,46 @@ def test_restrict_examples():
 
 def test_thin_examples():
     m = B.UniformMatroid(range(4), 2)
-    t = B.thin(m, [0])
+    t = Contraction(m, [0], [1, 2, 3])
     assert t.ground == frozenset({1, 2, 3})
     assert independent(t, [1])
     assert not independent(t, [1, 2])       # rank dropped to 1
-    same = B.thin(m, [])
+    same = Contraction(m, [], range(4))
     assert all_independent_sets(same) == all_independent_sets(m)
-    p = B.thin(B.PartitionMatroid(range(3), [[0, 1], [2]], [1, 1]), [0])
+    p = Contraction(B.PartitionMatroid(range(3), [[0, 1], [2]], [1, 1]), [0], [1, 2])
     assert not independent(p, [1])
     assert independent(p, [2])
     with pytest.raises(InputError):
-        B.thin(B.UniformMatroid(range(2), 0), [0])      # dependent pin
+        Contraction(B.UniformMatroid(range(2), 0), [0], [1])      # dependent pin
 
 
-def test_truncate_examples():
+def test_min_cost_basis_limit_examples():
     m = B.UniformMatroid(range(4), 3)
-    t0 = B.truncate(m, 0)
-    assert all_independent_sets(t0) == [frozenset()]
-    tn = B.truncate(m, 4)
-    assert all_independent_sets(tn) == all_independent_sets(m)
-    t2 = B.truncate(m, 2)
+    cost = [4, 3, 2, 1]
+    assert B.min_cost_basis(m, cost, limit=0) == frozenset()
+    assert B.min_cost_basis(m, cost, limit=4) == B.min_cost_basis(m, cost) == {1, 2, 3}
     u2 = B.UniformMatroid(range(4), 2)
-    assert all_independent_sets(t2) == all_independent_sets(u2)
-    with pytest.raises(InputError):
-        B.truncate(m, -1)
+    assert B.min_cost_basis(m, cost, limit=2) == B.min_cost_basis(u2, cost) == {2, 3}
+    for bad in (-1, 1.0, True, "2"):
+        with pytest.raises(InputError):
+            B.min_cost_basis(m, cost, limit=bad)
+
+
+def test_min_cost_basis_among_examples():
+    m = B.PartitionMatroid(range(4), [[0, 1], [2, 3]], [1, 1])
+    cost = [1, 2, 3, 4]
+    assert B.min_cost_basis(m, cost, among=[1, 3]) == {1, 3}
+    assert B.min_cost_basis(m, cost, among=[0, 1, 0]) == {0}
+    assert B.min_cost_basis(m, cost, among=[]) == frozenset()
+    assert B.min_cost_basis(m, cost, among=range(4), limit=1) == {0}
+    for bad in ([4], [-1], ["a"], 3):
+        with pytest.raises(InputError):
+            B.min_cost_basis(m, cost, among=bad)
 
 
 def test_combinators_compose():
     m = B.PartitionMatroid(range(6), [[0, 1, 2], [3, 4, 5]], [2, 2])
-    wrapped = B.thin(B.restrict(m, [0, 1, 3, 4, 5]), [3])
+    wrapped = Contraction(m, [3], [0, 1, 4, 5])
     for k in range(5):
         for combo in itertools.combinations([0, 1, 4, 5], k):
             expect = independent(m, set(combo) | {3}) and set(combo) <= {0, 1, 4, 5}
@@ -163,6 +180,30 @@ def test_min_cost_basis_matches_brute_force(seed):
     )
     assert len(basis) == rank
     assert sum((cost[e] for e in basis), F(0)) == best
+
+
+def test_min_cost_basis_among_limit_matches_brute_force():
+    """The greedy over among stopped at limit is, among the independent
+    subsets of among of size min(limit, rank), the one with the least
+    sorted (cost, id) tuple, for limits 0, below the rank and above."""
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(8_000 + seed)
+        n = rng.randint(1, 8)
+        m = random_matroid(rng, tuple(range(n)))
+        cost = [rng.randint(1, 4) for _ in range(n)]
+        among = [e for e in range(n) if rng.random() < 0.7]
+        subsets = [s for s in all_independent_sets(m) if s <= set(among)]
+        rank = max(len(s) for s in subsets)
+        for limit in (0, rng.randint(1, max(rank - 1, 1)), rank, rank + rng.randint(1, 3)):
+            size = min(limit, rank)
+            best = min(
+                tuple(sorted((cost[e], e) for e in s)) for s in subsets if len(s) == size
+            )
+            got = B.min_cost_basis(m, cost, among, limit)
+            assert tuple(sorted((cost[e], e) for e in got)) == best, (seed, limit)
+            seen.add((limit > 0) + (limit >= rank) + (limit > rank))
+    assert seen == {0, 1, 2, 3}
 
 
 def test_axiom_check_passes_concrete():
@@ -208,15 +249,14 @@ def test_axiom_check_random_compositions(seed):
     n = rng.randint(1, 7)
     m = random_matroid(rng, tuple(range(n)))
     keep = [e for e in range(n) if rng.random() < 0.8]
-    m = B.restrict(m, keep)
-    m = B.truncate(m, rng.randint(0, n))
     pin = []
-    for e in sorted(m.ground_list, key=lambda x: rng.random()):
+    for e in sorted(keep, key=lambda x: rng.random()):
         if independent(m, pin + [e]):
             pin.append(e)
             if len(pin) >= 2:
                 break
-    m = B.thin(m, pin[: rng.randint(0, len(pin))])
+    pin = pin[: rng.randint(0, len(pin))]
+    m = Contraction(m, pin, [e for e in keep if e not in pin])
     assert B.axiom_check(m).ok
 
 
@@ -255,7 +295,8 @@ def test_exchange_element_exists_when_blocked():
 
 
 def test_truncated_restricted_min_basis_swap():
-    # for B = min basis of the restricted-then-truncated matroid and any
+    # for B = min basis over u stopped at q elements (the basis of the
+    # matroid restricted to u and truncated at q) and any
     # independent set of size <= q, every member of the overlap swaps into
     # the set for a basis element that is no more expensive
     rng = random.Random(5)
@@ -265,7 +306,7 @@ def test_truncated_restricted_min_basis_swap():
         cost = {e: F(rng.randint(1, 6)) for e in range(n)}
         u = [e for e in range(n) if rng.random() < 0.7]
         q = rng.randint(1, n)
-        basis = B.min_cost_basis(B.truncate(B.restrict(m, u), q), cost)
+        basis = B.min_cost_basis(m, cost, among=u, limit=q)
         iset = set(all_independent_sets(m))
         for delta in iset:
             if len(delta) > q:

@@ -13,6 +13,7 @@ from bcopt.generate import BI_KINDS
 from bcopt.matroids import Matroid
 from bcopt.model import relaxation_weights
 from util import (
+    Contraction,
     all_matchings,
     brute_max_weight,
     random_graph,
@@ -392,8 +393,8 @@ def test_mi_extreme_chain_from_a_base_is_the_contracted_chain(kinds):
         c = inst.constraint
         for pinned in list(B.iter_solutions(inst, max_size=2))[1::2]:
             keep = [e for e in inst.ids if e not in pinned]
-            m1 = B.restrict(B.thin(c.m1, pinned), keep)
-            m2 = B.restrict(B.thin(c.m2, pinned), keep)
+            m1 = Contraction(c.m1, pinned, keep)
+            m2 = Contraction(c.m2, pinned, keep)
             for lam in (F(0), F(1, 2)):
                 w = relaxation_weights(inst, lam, keep)
                 chain = B.mi_extreme_chain(c.m1, c.m2, w, inst.mask_of(pinned))

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,18 @@ def test_parse_rational_forms():
     assert B.parse_rational("7") == F(7)
     assert B.parse_rational(7) == F(7)
     for bad in ("3/0", "1.5", "a/b", 1.5, True, None, [1]):
+        with pytest.raises(InputError):
+            B.parse_rational(bad)
+
+
+def test_parse_rational_rejects_overlong_numerals():
+    """Python will not convert an int literal past its digit limit
+    (4,300 by default); such a numeral is an input error, not a crash."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int digit limit")
+    assert B.parse_rational("9" * limit) == 10**limit - 1
+    for bad in ("1" * (limit + 1), "-1/" + "7" * (limit + 1), "+" + "5" * 5000):
         with pytest.raises(InputError):
             B.parse_rational(bad)
 
@@ -157,8 +170,56 @@ BOOL_INPUTS = {
     "matroid element id": lambda: B.UniformMatroid([False, 1], 1),
     "uniform rank": lambda: B.UniformMatroid(range(2), True),
     "partition capacity": lambda: B.PartitionMatroid(range(2), [[0, 1]], [True]),
-    "truncation limit": lambda: B.truncate(U2, True),
+    "partition block id": lambda: B.PartitionMatroid(range(2), [[False, 1]], [1]),
+    "explicit set id": lambda: B.ExplicitMatroid(range(2), [[True]]),
+    "basis limit": lambda: B.min_cost_basis(U2, [1, 1], limit=True),
 }
+
+
+def _two_element_bi(m1_spec):
+    return {
+        "budget": "1",
+        "elements": [{"id": i, "profit": "1", "cost": "1"} for i in range(2)],
+        "constraint": {
+            "type": "matroid_intersection",
+            "matroids": [m1_spec, {"kind": "uniform", "rank": 1}],
+        },
+    }
+
+
+def _blocks(blocks):
+    return {"kind": "partition", "blocks": blocks, "capacities": [1] * len(blocks)}
+
+
+def _sets(sets):
+    return {"kind": "explicit", "maximal_independent_sets": sets}
+
+
+# Each spec would load, with a bool read as a bit, or crash in a shift
+# or an iteration, if element ids were turned into bits unchecked.
+BAD_ID_SPECS = {
+    "block id true": _blocks([[0], [True]]),
+    "block id false": _blocks([[False], [1]]),
+    "block id string": _blocks([[0], ["a"]]),
+    "block id float": _blocks([[0.0], [1]]),
+    "block id negative": _blocks([[0], [1, -1]]),
+    "block id list": _blocks([[[0]], [1]]),
+    "block not a list": _blocks([0, [1]]),
+    "set id true": _sets([[True]]),
+    "set id false": _sets([[False, 1]]),
+    "set id string": _sets([["a"]]),
+    "set id float": _sets([[0.0]]),
+    "set id negative": _sets([[-1]]),
+    "set id list": _sets([[[0]]]),
+    "set not a list": _sets([0]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BAD_ID_SPECS))
+def test_bad_ids_in_matroid_specs_are_input_errors(what):
+    data = json.loads(json.dumps(_two_element_bi(BAD_ID_SPECS[what])))
+    with pytest.raises(InputError):
+        B.instance_from_dict(data)
 
 
 @pytest.mark.parametrize("what", sorted(BOOL_INPUTS))
@@ -175,10 +236,11 @@ def test_integer_inputs_round_trip():
         _bi(_els([0, 1]), U2, U2),
         _bi(_els([0, 1]), B.UniformMatroid(range(2), 1),
             B.PartitionMatroid(range(2), [[0, 1]], [1])),
+        _bi(_els([0, 1]), B.ExplicitMatroid(range(2), [[1]]), U2),
         B.BCInstance(_els([0, 1]), B.MatchingConstraint(g), F(1)),
     ]
     for inst in instances:
         text = B.canonical_json(B.instance_to_dict(inst))
         assert "true" not in text and "false" not in text
         assert B.instance_from_dict(json.loads(text)) == inst
-    assert B.truncate(U2, 1).limit == 1
+    assert B.min_cost_basis(U2, [1, 1], limit=1) == {0}

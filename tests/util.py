@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import bcopt as B
-from bcopt.matroids import restrict, thin
+from bcopt.errors import InputError
 
 
 def bi_pairs(seed, n):
@@ -18,6 +18,29 @@ def bi_pairs(seed, n):
     m2 = B.UniformMatroid(range(n), n // 4)
     total = sum(e.cost for e in els)
     return B.BCInstance(els, B.MatroidIntersectionConstraint(m1, m2), Fraction(total, 2))
+
+
+class Contraction(B.Matroid):
+    """The minor of parent contracted by the independent set pinned and
+    restricted to keep: its ground set is keep, and a mask is
+    independent iff mask | pinned is independent in parent."""
+
+    kind = "contraction"
+
+    def __init__(self, parent, pinned, keep):
+        super().__init__(keep)
+        if self.ground_mask & ~parent.ground_mask:
+            raise InputError("keep leaves the parent's ground set")
+        fmask = 0
+        for e in pinned:
+            fmask |= 1 << e
+        if not parent.independent_mask(fmask):
+            raise InputError("pinned set must be independent")
+        self.parent = parent
+        self.fmask = fmask
+
+    def _indep_mask(self, mask):
+        return self.parent.independent_mask(mask | self.fmask)
 
 
 def all_independent_sets(matroid):
@@ -182,7 +205,7 @@ def reference_residual(inst, pinned, pool):
     else:
         keep = [e for e in pool if e not in pinned]
         constraint = B.MatroidIntersectionConstraint(
-            restrict(thin(c.m1, pinned), keep), restrict(thin(c.m2, pinned), keep)
+            Contraction(c.m1, pinned, keep), Contraction(c.m2, pinned, keep)
         )
     sub = object.__new__(B.BCInstance)
     sub._sp, sub._sc = inst._sp, inst._sc

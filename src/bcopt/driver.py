@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InputError
 from .lagrangian import residual_tail
@@ -41,6 +42,7 @@ def eptas_run(
     alpha_mode: str = "two-approx",
     max_exhaustive: int = 24,
     collect: bool = False,
+    prune: bool = False,
 ) -> EptasRun:
     """Full scheme run with a report.
 
@@ -52,11 +54,21 @@ def eptas_run(
     more survivors than max_exhaustive is solved as "auto" instead, which
     the gate sends to the Lagrangian path, and is counted as a fallback.
 
-    Every prefix is enumerated and counted, fallbacks included, but
-    unless collect asks for every record, a prefix whose p(F) plus its
+    Unless collect asks for every record, a prefix whose p(F) plus its
     `ceiling` over E(α) is below the best profit so far is not solved:
-    no tail of it can win, so the solution is unchanged.
+    no tail of it can win, so the solution is unchanged.  Without prune
+    every prefix is still enumerated and counted, fallbacks included.
+
+    With prune, the walk also drops every extension of F when p(F) plus
+    F's ceiling over R ∪ E(α) is below the best profit so far: an
+    extension's further elements and its tail are survivors of F, at
+    most room(state) of them, each within β − c(F).  The cut is strict,
+    so the winner and its tie-break are unchanged, but `enumerated` and
+    `fallbacks` count only the prefixes the pruned walk visits.  Records
+    need the full walk, so collect with prune raises InputError.
     """
+    if collect and prune:
+        raise InputError("collect needs the full walk; it cannot prune")
     rep = repset(inst, eps, alpha_mode=alpha_mode)
     eps = rep.params.epsilon
     alpha = rep.alpha
@@ -68,9 +80,21 @@ def eptas_run(
     low = low_profit_ids(inst, eps, alpha)
     P = inst.int_profit
     desc = sorted(low, key=lambda e: (-P[e], e))
+    desc_all = sorted(rep.union.union(low), key=lambda e: (-P[e], e))
     c = inst.constraint
+
+    # True when p(F) plus F's ceiling over pool is below the best profit;
+    # the walk asks it over R ∪ E(α) as the cut of F's children once F's
+    # candidate is in best
+    def below(
+        state: int, cost: int, profit: int, pool: Sequence[int] = desc_all
+    ) -> bool:
+        need = -best[0] - profit
+        return ceiling(inst, state, pool, inst.int_budget - cost, need) < need
+
     walk = iter_solutions(
-        inst, candidates=sorted(rep.union), max_size=cap, with_state=True
+        inst, candidates=sorted(rep.union), max_size=cap,
+        cut=below if prune else None, with_state=True,
     )
     for pinned, state, cost, profit in walk:
         enumerated += 1
@@ -79,10 +103,8 @@ def eptas_run(
             len(c.survivors(state, low)) > max(max_exhaustive, 0)
         )
         fallbacks += fallback
-        if not collect:
-            need = -best[0] - profit
-            if ceiling(inst, state, desc, inst.int_budget - cost, need) < need:
-                continue
+        if not collect and below(state, cost, profit, desc):
+            continue
         tail = residual_tail(
             inst, pinned, low, "auto" if fallback else strategy, max_exhaustive
         )
@@ -115,11 +137,14 @@ def approximate(
     alpha_mode: str = "two-approx",
     max_exhaustive: int = 24,
 ) -> Solution:
-    """Solution with p ≥ (1−ε)·OPT, by running the core scheme at ε/8."""
+    """Solution with p ≥ (1−ε)·OPT, by running the core scheme at ε/8.
+
+    The run prunes its prefix walk (`eptas_run`'s prune): only the
+    solution is returned, and the cut leaves it unchanged."""
     eps = _rat(eps)
     if not 0 < eps < 1:
         raise InputError(f"epsilon must be in (0, 1), got {eps}")
     return eptas_run(
         inst, eps / 8, strategy=strategy, alpha_mode=alpha_mode,
-        max_exhaustive=max_exhaustive,
+        max_exhaustive=max_exhaustive, prune=True,
     ).solution

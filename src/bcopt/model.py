@@ -30,6 +30,11 @@ def _rat(x: Fraction | int) -> Fraction:
     return Fraction(x)
 
 
+def _scaled(x: Fraction, scale: int) -> int:
+    """x · scale for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
+
+
 @dataclass(frozen=True)
 class Element:
     id: int
@@ -40,13 +45,14 @@ class Element:
 class MatchingConstraint:
     """Feasible sets are matchings of the underlying graph; the ground
     set is the graph's edge ids.  A walk state is the mask of the
-    vertices the set covers."""
+    vertices the set covers, and an edge's footprint the mask of its
+    two ends."""
 
     kind = "matching"
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._vm = graph._vmask
+        self.footprint = graph._vmask
         self.ground_list = graph.edge_ids
         self.ground = frozenset(self.ground_list)
         self.ground_mask = sum(1 << e for e in self.ground_list)
@@ -60,7 +66,7 @@ class MatchingConstraint:
         return self.graph.vertex_mask(pinned)
 
     def extend(self, state: int, e: int) -> int | None:
-        m = self._vm[e]
+        m = self.footprint[e]
         return None if state & m else state | m
 
     def join(self, state: int, mask: int) -> int | None:
@@ -74,8 +80,8 @@ class MatchingConstraint:
 
     def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
         """Pool edges that touch no covered vertex."""
-        vm = self._vm
-        return [e for e in pool if not vm[e] & state]
+        fp = self.footprint
+        return [e for e in pool if not fp[e] & state]
 
     def room(self, state: int) -> int:
         """Edges a matching can still add: two uncovered vertices each."""
@@ -92,9 +98,10 @@ class MatchingConstraint:
 
 class MatroidIntersectionConstraint:
     """Feasible sets are common independent sets of two matroids over
-    the same ground set.  A walk state is the set's element mask.  A
-    raw-table `ExplicitMatroid` must be hereditary, since every walk
-    prunes a set's supersets once the set is infeasible."""
+    the same ground set.  A walk state is the set's element mask, and
+    an element's footprint its own bit.  A raw-table `ExplicitMatroid`
+    must be hereditary, since every walk prunes a set's supersets once
+    the set is infeasible."""
 
     kind = "matroid_intersection"
 
@@ -109,6 +116,7 @@ class MatroidIntersectionConstraint:
         self.ground = m1.ground
         self.ground_list = m1.ground_list
         self.ground_mask = m1.ground_mask
+        self.footprint = {e: 1 << e for e in self.ground_list}
         self._rank: int | None = None
 
     def feasible_mask(self, mask: int) -> bool:
@@ -129,8 +137,9 @@ class MatroidIntersectionConstraint:
 
     def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
         """Pool elements outside the set.  Elements dependent with it
-        stay, as thinning keeps them; `extend` refuses them."""
-        return [e for e in pool if not state >> e & 1]
+        stay; `extend` refuses them."""
+        fp = self.footprint
+        return [e for e in pool if not fp[e] & state]
 
     def room(self, state: int) -> int:
         """Elements a common independent set can still add: the smaller
@@ -153,9 +162,10 @@ class MatroidIntersectionConstraint:
 # is the walk state of a feasible set F, extend(state, e) the state of
 # F + e or None when F + e is infeasible, join(state, mask) the same for
 # F ∪ S with S given by its element mask, survivors(state, pool) the
-# pool elements a residual of F keeps, and room(state) an upper bound on
-# |S| for every S that join accepts.  A state is a bit mask, and the
-# state of a feasible F ∪ S is state_of(F) | state_of(S).
+# pool elements a residual of F keeps, those whose footprint[e] misses
+# the state, and room(state) an upper bound on |S| for every S that join
+# accepts.  A state is a bit mask, and the state of a feasible F ∪ S is
+# state_of(F) | state_of(S).
 #
 # The residual of F over a pool is solved in place as the triple
 # (state_of(F), survivors, β − c(F)) on the instance's own tables: a set
@@ -180,8 +190,11 @@ class BCInstance:
         constraint: Constraint,
         budget: Fraction | int,
     ):
+        # an Element already holding exact Fractions is kept as it is
         elements = tuple(
-            Element(e.id, _rat(e.profit), _rat(e.cost))
+            e if type(e) is Element and type(e.profit) is Fraction
+            and type(e.cost) is Fraction
+            else Element(e.id, _rat(e.profit), _rat(e.cost))
             for e in sorted(elements, key=lambda e: e.id)
         )
         ids = [e.id for e in elements]
@@ -204,11 +217,11 @@ class BCInstance:
         sp = math.lcm(1, *(e.profit.denominator for e in elements))
         sc = math.lcm(budget.denominator, *(e.cost.denominator for e in elements))
         self._sp, self._sc = sp, sc
-        self.int_profit = tuple(int(e.profit * sp) for e in elements)
-        self.int_cost = tuple(int(e.cost * sc) for e in elements)
+        self.int_profit = tuple(_scaled(e.profit, sp) for e in elements)
+        self.int_cost = tuple(_scaled(e.cost, sc) for e in elements)
         self.elements = elements
         self.constraint = constraint
-        self.int_budget = int(budget * sc)
+        self.int_budget = _scaled(budget, sc)
         self.budget = budget
         self.ids: tuple[int, ...] = tuple(e.id for e in elements)
         self.id_set: frozenset[int] = frozenset(self.ids)

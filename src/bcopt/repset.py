@@ -53,18 +53,23 @@ def ceiling(
     desc is the pool in (profit desc, id asc) order.  The bound sums the
     profits of the first `room(state)` of its `survivors` whose own cost
     fits the budget: T holds at most that many survivors, each no
-    dearer than the whole of T.  With need, the sum stops once it
-    reaches need, so only a result below need is the bound itself."""
+    dearer than the whole of T.  The scan tests each element's
+    `footprint` against the state instead of listing the survivors, and
+    stops once it has taken room(state) of them; with need, it stops
+    once the sum reaches need, so only a result below need is the bound
+    itself."""
     c = inst.constraint
     left = c.room(state)
-    P, C = inst.int_profit, inst.int_cost
+    if left <= 0 or (need is not None and need <= 0):
+        return 0
+    P, C, fp = inst.int_profit, inst.int_cost, c.footprint
     total = 0
-    for e in c.survivors(state, desc):
-        if left <= 0 or (need is not None and total >= need):
-            break
-        if C[e] <= budget:
+    for e in desc:
+        if not fp[e] & state and C[e] <= budget:
             total += P[e]
             left -= 1
+            if not left or (need is not None and total >= need):
+                break
     return total
 
 

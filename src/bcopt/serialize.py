@@ -55,11 +55,30 @@ def parse_rational(value: Any) -> Fraction:
     raise InputError(f"expected a rational (int or string), got {value!r}")
 
 
+# str() refuses an int of more digits than sys.get_int_max_str_digits()
+# allows (4,300 by default and never less than 640 when set); below
+# 2**1990 < 10**600 it always prints
+_STR_BITS = 1990
+
+
+def _decimal(n: int) -> str:
+    """The decimal numeral of n ≥ 0 at any length: a long n is split at
+    10**k, about half its digits, and its halves are printed in turn."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # log10(2) > 3/10, so 10**k < n
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
+    num = _decimal(abs(value.numerator))
+    if value < 0:
+        num = "-" + num
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return num
+    return f"{num}/{_decimal(value.denominator)}"
 
 
 def canonical_json(obj: Any) -> str:

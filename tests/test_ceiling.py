@@ -2,7 +2,8 @@
 solves: `room` bounds the size of every feasible extension of a set,
 `repset.ceiling` bounds the best residual tail, and on scale-sized
 instances both loops skip solves while enumerating what they always
-did."""
+did.  With prune, `eptas_run` also cuts the walk by the ceiling and
+keeps its solution."""
 
 import importlib
 import pathlib
@@ -121,7 +122,11 @@ def test_skips_keep_the_winner_among_ties(source, seed, eps):
         inst = B.random_bi(seed, n=rng.randint(3, 10), kinds=kinds, profit_range=(1, 3),
                            cost_range=(0, 3))
     run = B.eptas_run(inst, eps)
-    assert run.solution == B.eptas_run(inst, eps, collect=True).solution
+    full = B.eptas_run(inst, eps, collect=True)
+    pruned = B.eptas_run(inst, eps, prune=True)
+    assert run.solution == full.solution == pruned.solution
+    assert pruned.enumerated <= full.enumerated
+    assert B.approximate(inst, eps) == B.eptas_run(inst, eps / 8).solution
     assert B.two_approx(inst)[0].ids == unpruned_two_approx(inst)
 
 
@@ -214,3 +219,38 @@ def test_both_loops_skip_solves(name, make, monkeypatch):
     assert solved == prefixes
     assert full.enumerated == run.enumerated
     assert full.solution == run.solution
+
+
+def scale_sized(seed):
+    """A BM with 9-12 vertices or a BI pairs instance with n 12-16, as
+    the scale benchmark draws them."""
+    rng = random.Random(seed)
+    if seed % 2:
+        return B.random_bm(seed, n_vertices=rng.randint(9, 12))
+    return bi_pairs(seed, rng.choice([12, 14, 16]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pruned_walk_keeps_the_solution(seed, monkeypatch):
+    """Fails if the cut changes the winner or silently stops cutting:
+    at the core ε of approximate(·, 1/2) and (·, 1/3) the pruned run
+    returns the full run's solution from fewer prefixes, and solves a
+    subset of its prefixes: a cut prefix cannot beat the incumbent, so
+    both walks hold the same incumbent wherever they meet."""
+    inst = scale_sized(seed)
+    for eps in (Fraction(1, 16), Fraction(1, 24)):
+        solved = counting_tails(monkeypatch, D)
+        full = B.eptas_run(inst, eps)
+        full_solved = set(solved)
+        del solved[:]
+        pruned = B.eptas_run(inst, eps, prune=True)
+        monkeypatch.undo()
+        assert pruned.solution == full.solution
+        assert pruned.enumerated < full.enumerated
+        assert set(solved) <= full_solved
+    assert B.approximate(inst, Fraction(1, 2)) == B.eptas_run(inst, Fraction(1, 16)).solution
+
+
+def test_collect_with_prune_is_an_input_error(fig1):
+    with pytest.raises(B.InputError, match="collect"):
+        B.eptas_run(fig1, Fraction(1, 2), collect=True, prune=True)

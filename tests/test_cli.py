@@ -455,3 +455,25 @@ def test_overlong_numerals_exit_2(where, tmp_path, capsys):
     code, out, err = run(capsys, ["solve", _bi_004_with(tmp_path, edit), "--epsilon", "1/2"])
     assert code == 2 and out == ""
     assert err.startswith("input error: ")
+
+
+def test_exact_prints_a_profit_past_the_str_digit_limit(tmp_path, capsys):
+    """Two profits of 4,300 nines sum to 4,301 digits, one past the
+    default limit of str() on an int: the report still prints them."""
+    nines = "9" * 4300
+    data = {
+        "budget": "2",
+        "constraint": {
+            "type": "matroid_intersection",
+            "matroids": [{"kind": "uniform", "rank": 2}] * 2,
+        },
+        "elements": [{"id": i, "profit": nines, "cost": "1"} for i in range(2)],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["exact", str(path)])
+    assert code == 0 and err == ""
+    sol = json.loads(out)["solution"]
+    assert sol["ids"] == [0, 1]
+    assert sol["profit"] == "1" + "9" * 4299 + "8"
+    assert sol["cost"] == "2"

@@ -179,3 +179,12 @@ def test_two_approx_invariant_check_survives_optimize_flag():
     # the same guard on every two_approx candidate
     out = _broken_solver_under_optimize("bcopt.repset", "M.two_approx(inst)")
     assert out == "InvariantError False"
+
+
+def test_pruned_invariant_check_survives_optimize_flag():
+    # approximate prunes its walk; every candidate it still solves is
+    # checked the same way
+    out = _broken_solver_under_optimize(
+        "bcopt.driver", "M.approximate(inst, Fraction(1, 2))"
+    )
+    assert out == "InvariantError False"

@@ -4,10 +4,13 @@ non-trivial scales: a common rescaling must rescale every answer exactly,
 and per-element denominators must keep the guarantees."""
 
 import itertools
+import math
 import pathlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcopt as B
 
@@ -83,3 +86,36 @@ def test_per_element_denominators_keep_the_guarantee(name, make):
     assert sol.profit >= (1 - EPS) * opt.profit
     assert sol.profit == inst.profit_of(sol.ids)
     assert sol.cost == inst.cost_of(sol.ids)
+
+
+rationals = st.fractions(min_value=0, max_value=50, max_denominator=60)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    profits=st.lists(rationals, min_size=1, max_size=8),
+    costs=st.lists(rationals, min_size=8, max_size=8),
+    budget=rationals,
+    as_int=st.booleans(),
+)
+def test_integer_tables_are_the_fraction_products(profits, costs, budget, as_int):
+    """The tables are p(e)·sp, c(e)·sc and β·sc computed in Fractions,
+    for sp and sc the lcm of the denominators; the kept elements are
+    equal to the given ones, whether given as Fractions or ints."""
+    n = len(profits)
+    elements = [
+        B.Element(i, p, c)
+        if not (as_int and p.denominator == 1 == c.denominator)
+        else B.Element(i, p.numerator, c.numerator)
+        for i, (p, c) in enumerate(zip(profits, costs))
+    ]
+    m = B.UniformMatroid(range(n), 2)
+    inst = B.BCInstance(elements, B.MatroidIntersectionConstraint(m, m), budget)
+    sp = math.lcm(1, *(p.denominator for p in profits))
+    sc = math.lcm(budget.denominator, *(c.denominator for c in costs[:n]))
+    assert inst.int_profit == tuple(int(p * sp) for p in profits)
+    assert inst.int_cost == tuple(int(c * sc) for c in costs[:n])
+    assert inst.int_budget == int(budget * sc)
+    assert inst.elements == tuple(elements)
+    for e in inst.elements:
+        assert type(e.profit) is F and type(e.cost) is F

@@ -7,7 +7,7 @@ with fractions.Fraction only at the API and report boundary.  Identical
 inputs produce identical outputs, bit for bit.
 """
 
-from .driver import EnumerationRecord, EptasRun, approximate, eptas_run
+from .driver import EptasRun, approximate, eptas_run
 from .errors import CapacityError, DegenerateAlpha, InputError, InvariantError
 from .exchange import (
     exset_matching,
@@ -84,7 +84,6 @@ __all__ = [
     "CapacityError",
     "DegenerateAlpha",
     "Element",
-    "EnumerationRecord",
     "EptasRun",
     "ExplicitMatroid",
     "Graph",

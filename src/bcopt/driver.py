@@ -1,7 +1,7 @@
 """Top-level approximation scheme: enumerate profitable prefixes from
 the representative set, solve with the non-profitable solver each
-residual whose ceiling can beat the best so far, return the best
-combination."""
+residual whose profit bound (the constraint's `bound`) can beat the
+best so far, return the best combination."""
 
 from __future__ import annotations
 
@@ -13,15 +13,7 @@ from .errors import InputError
 from .lagrangian import residual_tail
 from .model import BCInstance, Solution, low_profit_ids, _rat
 from .oracles import iter_solutions
-from .repset import RepSetResult, ceiling, checked_key, repset
-
-
-@dataclass(frozen=True)
-class EnumerationRecord:
-    pinned: tuple[int, ...]
-    tail: tuple[int, ...]
-    combined: Solution
-    fallback: bool
+from .repset import RepSetResult, checked_key, repset
 
 
 @dataclass(frozen=True)
@@ -32,7 +24,6 @@ class EptasRun:
     rep: RepSetResult
     enumerated: int
     fallbacks: int
-    records: tuple[EnumerationRecord, ...]
 
 
 def eptas_run(
@@ -41,7 +32,6 @@ def eptas_run(
     strategy: str = "auto",
     alpha_mode: str = "two-approx",
     max_exhaustive: int = 24,
-    collect: bool = False,
     prune: bool = False,
 ) -> EptasRun:
     """Full scheme run with a report.
@@ -54,43 +44,40 @@ def eptas_run(
     more survivors than max_exhaustive is solved as "auto" instead, which
     the gate sends to the Lagrangian path, and is counted as a fallback.
 
-    Unless collect asks for every record, a prefix whose p(F) plus its
-    `ceiling` over E(α) is below the best profit so far is not solved:
-    no tail of it can win, so the solution is unchanged.  Without prune
-    every prefix is still enumerated and counted, fallbacks included.
+    A prefix whose p(F) plus its constraint `bound` over E(α) is below
+    the best profit so far is not solved: no tail of it can win, so the
+    solution is unchanged.  Without prune every prefix is still
+    enumerated and counted, fallbacks included.
 
     With prune, the walk also drops every extension of F when p(F) plus
-    F's ceiling over R ∪ E(α) is below the best profit so far: an
+    F's bound over R ∪ E(α) is below the best profit so far: an
     extension's further elements and its tail are survivors of F, at
     most room(state) of them, each within β − c(F).  The cut is strict,
     so the winner and its tie-break are unchanged, but `enumerated` and
-    `fallbacks` count only the prefixes the pruned walk visits.  Records
-    need the full walk, so collect with prune raises InputError.
+    `fallbacks` count only the prefixes the pruned walk visits.
     """
-    if collect and prune:
-        raise InputError("collect needs the full walk; it cannot prune")
     rep = repset(inst, eps, alpha_mode=alpha_mode)
     eps = rep.params.epsilon
     alpha = rep.alpha
     cap = int(1 / eps)  # ⌊1/ε⌋ exact: Fraction floor division
     best: tuple[int, tuple[int, ...]] = (0, ())  # the empty solution's key
-    records: list[EnumerationRecord] = []
     enumerated = 0
     fallbacks = 0
     low = low_profit_ids(inst, eps, alpha)
-    P = inst.int_profit
+    P, C = inst.int_profit, inst.int_cost
     desc = sorted(low, key=lambda e: (-P[e], e))
     desc_all = sorted(rep.union.union(low), key=lambda e: (-P[e], e))
     c = inst.constraint
+    bound = c.bound
 
-    # True when p(F) plus F's ceiling over pool is below the best profit;
+    # True when p(F) plus F's bound over pool is below the best profit;
     # the walk asks it over R ∪ E(α) as the cut of F's children once F's
     # candidate is in best
     def below(
         state: int, cost: int, profit: int, pool: Sequence[int] = desc_all
     ) -> bool:
         need = -best[0] - profit
-        return ceiling(inst, state, pool, inst.int_budget - cost, need) < need
+        return bound(state, pool, P, C, inst.int_budget - cost, need) < need
 
     walk = iter_solutions(
         inst, candidates=sorted(rep.union), max_size=cap,
@@ -103,22 +90,12 @@ def eptas_run(
             len(c.survivors(state, low)) > max(max_exhaustive, 0)
         )
         fallbacks += fallback
-        if not collect and below(state, cost, profit, desc):
+        if below(state, cost, profit, desc):
             continue
         tail = residual_tail(
             inst, pinned, low, "auto" if fallback else strategy, max_exhaustive
         )
-        key = checked_key(inst, pinned, tail)
-        best = min(best, key)
-        if collect:
-            records.append(
-                EnumerationRecord(
-                    pinned=tuple(pinned),
-                    tail=tail,
-                    combined=Solution.of(inst, key[1]),
-                    fallback=fallback,
-                )
-            )
+        best = min(best, checked_key(inst, pinned, tail))
     return EptasRun(
         solution=Solution.of(inst, best[1]),
         epsilon=eps,
@@ -126,7 +103,6 @@ def eptas_run(
         rep=rep,
         enumerated=enumerated,
         fallbacks=fallbacks,
-        records=tuple(records),
     )
 
 

@@ -60,12 +60,6 @@ class Graph:
     def edge_ids(self) -> tuple[int, ...]:
         return self._edge_ids
 
-    def vertex_mask(self, edge_ids: Iterable[int]) -> int:
-        m = 0
-        for e in edge_ids:
-            m |= self._vmask[e]
-        return m
-
     def is_matching(self, edge_ids: Iterable[int]) -> bool:
         """True iff the edge set covers no vertex twice."""
         used = 0
@@ -135,11 +129,6 @@ def greedy_matching(
             chosen.append(e)
             used |= vm
     return chosen
-
-
-def max_matching_size_bound(graph: Graph) -> int:
-    """floor(|V|/2): no matching can exceed it."""
-    return graph.num_vertices // 2
 
 
 def connected_components_edges(

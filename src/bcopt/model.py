@@ -1,6 +1,10 @@
 """Core problem model: budgeted instances over a matching or
 matroid-intersection constraint, scheme parameters and profit classes.
 
+Both constraint classes derive from `Constraint`, which holds once the
+step rule every walk and residual uses and the profit `bound` that lets
+the scheme skip a residual solve.
+
 Arithmetic runs on integers: an instance scales its profits, and its
 costs with its budget, to integers once.  A residual is no instance of
 its own: it is solved in place on its parent's tables, from the walk
@@ -17,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DegenerateAlpha, InputError
 from .graphs import Graph, _is_int
@@ -42,7 +46,105 @@ class Element:
     cost: Fraction
 
 
-class MatchingConstraint:
+class Constraint:
+    """What every walk and residual asks of its constraint.
+
+    state_of(F) is the walk state of a feasible set F, extend(state, e)
+    the state of F + e or None when F + e is infeasible, join(state,
+    mask) the same for F ∪ S with S given by its element mask,
+    survivors(state, pool) the pool elements a residual of F keeps,
+    those whose footprint[e] misses the state, room(state) an upper
+    bound on |S| for every S that join accepts, and bound(...) one on
+    p(S) for those S within a budget.  A state is a bit mask, and the
+    state of a feasible F ∪ S is state_of(F) | state_of(S).
+
+    The residual of F over a pool is solved in place as the triple
+    (state_of(F), survivors, β − c(F)) on the instance's own tables: a
+    set S of survivors solves it when join(state_of(F), S) is not None
+    and c(S) fits the reduced budget, and then F ∪ S solves the
+    instance.
+
+    A subclass sets kind, footprint and the ground set, and defines
+    extend and room."""
+
+    kind: str
+    footprint: dict[int, int]
+    ground: frozenset[int]
+    ground_list: tuple[int, ...]
+    ground_mask: int
+
+    def feasible_mask(self, mask: int) -> bool:
+        if mask & ~self.ground_mask:
+            raise InputError("mask has bits outside the ground set")
+        return self.join(0, mask) is not None
+
+    def state_of(self, pinned: Iterable[int]) -> int:
+        fp = self.footprint
+        state = 0
+        for e in pinned:
+            state |= fp[e]
+        return state
+
+    def join(self, state: int, mask: int) -> int | None:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            state = self.extend(state, low.bit_length() - 1)
+            if state is None:
+                return None
+        return state
+
+    def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
+        """Pool elements whose footprint misses the state.  An element
+        that F + e still cannot hold may stay; `extend` refuses it."""
+        fp = self.footprint
+        return [e for e in pool if not fp[e] & state]
+
+    def bound(
+        self,
+        state: int,
+        desc: Sequence[int],
+        profit: Sequence[int],
+        cost: Sequence[int],
+        budget: int,
+        need: int | None = None,
+    ) -> int:
+        """An upper bound on p(T) over the sets T of pool elements that
+        extend a feasible F of walk state `state` within `budget` (β −
+        c(F) on the integer cost scale), so on every tail
+        `residual_tail` returns for F over that pool.  profit and cost
+        are the instance's integer tables.
+
+        desc is the pool in (profit desc, id asc) order.  The bound sums
+        the profits of the first `room(state)` of its `survivors` whose
+        own cost fits the budget: T holds at most that many survivors,
+        each no dearer than the whole of T.  The scan tests each
+        element's `footprint` against the state instead of listing the
+        survivors, and stops once it has taken room(state) of them; with
+        need, it stops once the sum reaches need, so only a result below
+        need is the bound itself.
+
+        `oracles.exhaustive_search` bounds its walk by the same room
+        rule but does not call this: it asks a bound at every sibling
+        over the suffix pool[j:], from a top-k table built once per
+        search, and must never step more sets than the suffix-sum walk
+        does.  A bound taken once per node over the whole pool cannot
+        promise that."""
+        left = self.room(state)
+        if left <= 0 or (need is not None and need <= 0):
+            return 0
+        fp = self.footprint
+        total = 0
+        for e in desc:
+            if not fp[e] & state and cost[e] <= budget:
+                total += profit[e]
+                left -= 1
+                if not left or (need is not None and total >= need):
+                    break
+        return total
+
+
+class MatchingConstraint(Constraint):
     """Feasible sets are matchings of the underlying graph; the ground
     set is the graph's edge ids.  A walk state is the mask of the
     vertices the set covers, and an edge's footprint the mask of its
@@ -57,31 +159,9 @@ class MatchingConstraint:
         self.ground = frozenset(self.ground_list)
         self.ground_mask = sum(1 << e for e in self.ground_list)
 
-    def feasible_mask(self, mask: int) -> bool:
-        if mask & ~self.ground_mask:
-            raise InputError("mask has bits outside the ground set")
-        return self.join(0, mask) is not None
-
-    def state_of(self, pinned: Iterable[int]) -> int:
-        return self.graph.vertex_mask(pinned)
-
     def extend(self, state: int, e: int) -> int | None:
         m = self.footprint[e]
         return None if state & m else state | m
-
-    def join(self, state: int, mask: int) -> int | None:
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            state = self.extend(state, low.bit_length() - 1)
-            if state is None:
-                return None
-        return state
-
-    def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
-        """Pool edges that touch no covered vertex."""
-        fp = self.footprint
-        return [e for e in pool if not fp[e] & state]
 
     def room(self, state: int) -> int:
         """Edges a matching can still add: two uncovered vertices each."""
@@ -96,7 +176,7 @@ class MatchingConstraint:
         return f"MatchingConstraint({self.graph!r})"
 
 
-class MatroidIntersectionConstraint:
+class MatroidIntersectionConstraint(Constraint):
     """Feasible sets are common independent sets of two matroids over
     the same ground set.  A walk state is the set's element mask, and
     an element's footprint its own bit.  A raw-table `ExplicitMatroid`
@@ -119,12 +199,6 @@ class MatroidIntersectionConstraint:
         self.footprint = {e: 1 << e for e in self.ground_list}
         self._rank: int | None = None
 
-    def feasible_mask(self, mask: int) -> bool:
-        return self.m1.independent_mask(mask) and self.m2.independent_mask(mask)
-
-    def state_of(self, pinned: Iterable[int]) -> int:
-        return sum(1 << e for e in set(pinned))
-
     def extend(self, state: int, e: int) -> int | None:
         cand = state | (1 << e)
         if self.m1.independent_mask(cand) and self.m2.independent_mask(cand):
@@ -133,13 +207,9 @@ class MatroidIntersectionConstraint:
 
     def join(self, state: int, mask: int) -> int | None:
         cand = state | mask
-        return cand if self.feasible_mask(cand) else None
-
-    def survivors(self, state: int, pool: Iterable[int]) -> list[int]:
-        """Pool elements outside the set.  Elements dependent with it
-        stay; `extend` refuses them."""
-        fp = self.footprint
-        return [e for e in pool if not fp[e] & state]
+        if self.m1.independent_mask(cand) and self.m2.independent_mask(cand):
+            return cand
+        return None
 
     def room(self, state: int) -> int:
         """Elements a common independent set can still add: the smaller
@@ -156,22 +226,6 @@ class MatroidIntersectionConstraint:
 
     def __repr__(self) -> str:
         return f"MatroidIntersectionConstraint({self.m1!r}, {self.m2!r})"
-
-
-# Every walk and residual steps a constraint the same way.  state_of(F)
-# is the walk state of a feasible set F, extend(state, e) the state of
-# F + e or None when F + e is infeasible, join(state, mask) the same for
-# F ∪ S with S given by its element mask, survivors(state, pool) the
-# pool elements a residual of F keeps, those whose footprint[e] misses
-# the state, and room(state) an upper bound on |S| for every S that join
-# accepts.  A state is a bit mask, and the state of a feasible F ∪ S is
-# state_of(F) | state_of(S).
-#
-# The residual of F over a pool is solved in place as the triple
-# (state_of(F), survivors, β − c(F)) on the instance's own tables: a set
-# S of survivors solves it when join(state_of(F), S) is not None and
-# c(S) fits the reduced budget, and then F ∪ S solves the instance.
-Constraint = MatchingConstraint | MatroidIntersectionConstraint
 
 
 class BCInstance:

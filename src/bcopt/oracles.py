@@ -23,7 +23,7 @@ limit, bound)``:
   by the largest profits left in the pool, as many as the set has room
   for; `iter_solutions` asks its caller's cut at a set's first child
   only, so True drops all of its children (`repset.two_approx` cuts by
-  its profit ceiling).
+  the constraint's profit `bound`).
 - limit: the largest set size.
 
 Each visited set comes out as (prefix, state), prefix being a live list

@@ -1,8 +1,8 @@
 """The 2-approximation that seeds α, the per-class assembly of the
-representative set, and what the 2-approximation shares with the
-scheme's prefix enumeration: `checked_key`, the check and order of a
-candidate, and `ceiling`, the bound that lets both skip a residual
-solve.  Both solve their residuals with `lagrangian.residual_tail`."""
+representative set, and `checked_key`, the check and order of a
+candidate that the 2-approximation shares with the scheme's prefix
+enumeration.  Both skip a residual solve by the constraint's profit
+`bound` and solve the rest with `lagrangian.residual_tail`."""
 
 from __future__ import annotations
 
@@ -38,41 +38,6 @@ def checked_key(
     return -sum(inst.int_profit[e] for e in ids), ids
 
 
-def ceiling(
-    inst: BCInstance,
-    state: int,
-    desc: Sequence[int],
-    budget: int,
-    need: int | None = None,
-) -> int:
-    """An upper bound on p(T) over the sets T of pool elements that
-    extend a feasible F of walk state `state` within `budget` (β − c(F)
-    on the integer cost scale), so on every tail `residual_tail` returns
-    for F over that pool.
-
-    desc is the pool in (profit desc, id asc) order.  The bound sums the
-    profits of the first `room(state)` of its `survivors` whose own cost
-    fits the budget: T holds at most that many survivors, each no
-    dearer than the whole of T.  The scan tests each element's
-    `footprint` against the state instead of listing the survivors, and
-    stops once it has taken room(state) of them; with need, it stops
-    once the sum reaches need, so only a result below need is the bound
-    itself."""
-    c = inst.constraint
-    left = c.room(state)
-    if left <= 0 or (need is not None and need <= 0):
-        return 0
-    P, C, fp = inst.int_profit, inst.int_cost, c.footprint
-    total = 0
-    for e in desc:
-        if not fp[e] & state and C[e] <= budget:
-            total += P[e]
-            left -= 1
-            if not left or (need is not None and total >= need):
-                break
-    return total
-
-
 def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     """A solution S* with OPT/2 ≤ p(S*) ≤ OPT, and α = p(S*).
 
@@ -85,35 +50,44 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     independent of ε, so the result is cached on the instance.
 
     Only candidates that can beat the incumbent are solved: F's residual
-    is skipped when p(F) plus the `ceiling` over its filtered pool is
-    below the best profit so far, and F's children are not walked when
-    p(F) plus the ceiling over every element is.  Both cuts are strict,
-    so a skipped candidate is worse than the winner, which is unchanged.
+    is skipped when p(F) plus the constraint's `bound` over its filtered
+    pool is below the best profit so far, and F's children are not
+    walked when p(F) plus the bound over every element is.  Both cuts
+    are strict, so a skipped candidate is worse than the winner, which
+    is unchanged.
     """
     cached = inst._cache.get("two_approx")
     if cached is not None:
         return cached
-    P = inst.int_profit
+    P, C = inst.int_profit, inst.int_cost
     desc = sorted(inst.ids, key=lambda e: (-P[e], e))
+    # threshold -> its filtered pool, in desc order and in id order; a
+    # run has at most n thresholds
+    pools: dict[int, tuple[list[int], list[int]]] = {}
     best: tuple[int, tuple[int, ...]] | None = None
+    bound = inst.constraint.bound
 
-    # True when p(F) plus F's ceiling over pool is below the best profit;
+    # True when p(F) plus F's bound over pool is below the best profit;
     # the walk asks it as the cut of F's children once F's candidate is
     # in best, so best is set from the empty prefix on
     def below(
         state: int, cost: int, profit: int, pool: Sequence[int] = desc
     ) -> bool:
         need = -best[0] - profit
-        return ceiling(inst, state, pool, inst.int_budget - cost, need) < need
+        return bound(state, pool, P, C, inst.int_budget - cost, need) < need
 
     walk = iter_solutions(inst, max_size=4, cut=below, with_state=True)
     for pinned, state, cost, profit in walk:
         pool = inst.ids
         if pinned:
             threshold = min(P[e] for e in pinned)
-            if below(state, cost, profit, [e for e in desc if P[e] <= threshold]):
+            pair = pools.get(threshold)
+            if pair is None:
+                low = [e for e in desc if P[e] <= threshold]
+                pair = pools[threshold] = (low, sorted(low))
+            if below(state, cost, profit, pair[0]):
                 continue
-            pool = [e for e in pool if P[e] <= threshold]
+            pool = pair[1]
         tail = residual_tail(inst, pinned, pool)
         key = checked_key(inst, pinned, tail)
         best = key if best is None else min(best, key)

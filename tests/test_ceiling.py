@@ -1,9 +1,9 @@
 """The ceiling that lets `two_approx` and `eptas_run` skip residual
 solves: `room` bounds the size of every feasible extension of a set,
-`repset.ceiling` bounds the best residual tail, and on scale-sized
-instances both loops skip solves while enumerating what they always
-did.  With prune, `eptas_run` also cuts the walk by the ceiling and
-keeps its solution."""
+the constraint's `bound` bounds the best residual tail, and on
+scale-sized instances both loops skip solves while enumerating what
+they always did.  With prune, `eptas_run` also cuts the walk by the
+ceiling and keeps its solution."""
 
 import importlib
 import pathlib
@@ -78,14 +78,14 @@ def test_ceiling_bounds_every_extension(source, index, seed):
         keep = c.survivors(state, inst.ids)
         assert c.room(state) >= largest_extension(inst, state, keep), f
         budget = inst.int_budget - sum(C[e] for e in f)
-        full = R.ceiling(inst, state, desc, budget)
+        full = c.bound(state, desc, P, C, budget)
         fits = sorted((P[e] for e in keep if C[e] <= budget), reverse=True)
         assert full == sum(fits[:c.room(state)])
         assert exhaustive_search(inst, keep, state, budget)[0] <= full, f
         # the early stop tells the same side of need, and below need it
         # is the bound itself
         need = rng.randint(0, full + 2)
-        got = R.ceiling(inst, state, desc, budget, need)
+        got = c.bound(state, desc, P, C, budget, need)
         assert (got < need) == (full < need)
         if full < need:
             assert got == full
@@ -101,6 +101,19 @@ def unpruned_two_approx(inst):
         key = R.checked_key(inst, f, residual_tail(inst, f, pool))
         best = key if best is None else min(best, key)
     return best[1]
+
+
+def unskipped_eptas(inst, eps):
+    """The solution and prefix count of eptas_run when it solves every
+    prefix's residual."""
+    rep = B.repset(inst, eps)
+    low = B.low_profit_ids(inst, eps, rep.alpha)
+    walk = list(B.iter_solutions(inst, candidates=sorted(rep.union),
+                                 max_size=int(1 / eps)))
+    best = (0, ())
+    for f in walk:
+        best = min(best, R.checked_key(inst, f, residual_tail(inst, f, low)))
+    return B.Solution.of(inst, best[1]), len(walk)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -122,10 +135,10 @@ def test_skips_keep_the_winner_among_ties(source, seed, eps):
         inst = B.random_bi(seed, n=rng.randint(3, 10), kinds=kinds, profit_range=(1, 3),
                            cost_range=(0, 3))
     run = B.eptas_run(inst, eps)
-    full = B.eptas_run(inst, eps, collect=True)
+    full, walked = unskipped_eptas(inst, eps)
     pruned = B.eptas_run(inst, eps, prune=True)
-    assert run.solution == full.solution == pruned.solution
-    assert pruned.enumerated <= full.enumerated
+    assert run.solution == full == pruned.solution
+    assert pruned.enumerated <= run.enumerated == walked
     assert B.approximate(inst, eps) == B.eptas_run(inst, eps / 8).solution
     assert B.two_approx(inst)[0].ids == unpruned_two_approx(inst)
 
@@ -213,12 +226,6 @@ def test_both_loops_skip_solves(name, make, monkeypatch):
     run = B.eptas_run(inst, eps)
     assert run.enumerated == len(prefixes)
     assert 0 < len(solved) < len(prefixes)
-    # records keep every prefix, so a collecting run solves them all
-    del solved[:]
-    full = B.eptas_run(inst, eps, collect=True)
-    assert solved == prefixes
-    assert full.enumerated == run.enumerated
-    assert full.solution == run.solution
 
 
 def scale_sized(seed):
@@ -249,8 +256,3 @@ def test_pruned_walk_keeps_the_solution(seed, monkeypatch):
         assert pruned.enumerated < full.enumerated
         assert set(solved) <= full_solved
     assert B.approximate(inst, Fraction(1, 2)) == B.eptas_run(inst, Fraction(1, 16)).solution
-
-
-def test_collect_with_prune_is_an_input_error(fig1):
-    with pytest.raises(B.InputError, match="collect"):
-        B.eptas_run(fig1, Fraction(1, 2), collect=True, prune=True)

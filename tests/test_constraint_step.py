@@ -129,7 +129,7 @@ def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypat
     assert calls == []
     assert pins[0] == ()
     # the solved prefixes come in walk order, and a prefix left out cannot
-    # beat α: p(F) plus the ceiling over its threshold pool is below it
+    # beat α: p(F) plus the bound over its threshold pool is below it
     walk = list(B.iter_solutions(copy, max_size=4))
     it = iter(walk)
     assert all(f in it for f in pins)
@@ -141,8 +141,9 @@ def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypat
         if f not in solved:
             t = min(P[e] for e in f)
             pool = [e for e in desc if P[e] <= t]
-            bound = R.ceiling(copy, copy.constraint.state_of(f), pool,
-                              copy.int_budget - sum(C[e] for e in f))
+            c = copy.constraint
+            bound = c.bound(c.state_of(f), pool, P, C,
+                            copy.int_budget - sum(C[e] for e in f))
             assert sum(P[e] for e in f) + bound < alpha_int, f
 
 

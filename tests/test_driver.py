@@ -12,6 +12,7 @@ import pytest
 
 import bcopt as B
 from bcopt.errors import InputError
+from bcopt.lagrangian import residual_tail
 
 from util import opt_profit
 
@@ -48,19 +49,19 @@ def test_eptas_run_star_pair(fig1):
     # two singletons (the pair shares a vertex)
     assert run.enumerated == 3
     assert run.fallbacks == 0
-    assert run.records == ()
 
 
 def test_eptas_run_collect(fig1):
-    run = B.eptas_run(fig1, HALF, collect=True)
-    assert len(run.records) == 3
-    by_pinned = {rec.pinned: rec for rec in run.records}
-    assert set(by_pinned) == {(), (0,), (1,)}
-    assert by_pinned[(0,)].tail == (2,)
-    assert by_pinned[(0,)].combined.profit == Fraction(11)
-    assert by_pinned[(1,)].tail == (3,)
-    assert by_pinned[(1,)].combined.profit == Fraction(11)
-    assert not any(rec.fallback for rec in run.records)
+    """The tail `eptas_run` asks `residual_tail` for at each prefix."""
+    run = B.eptas_run(fig1, HALF)
+    prefixes = list(B.iter_solutions(fig1, candidates=sorted(run.rep.union), max_size=2))
+    assert prefixes == [(), (0,), (1,)]
+    low = B.low_profit_ids(fig1, HALF, run.alpha)
+    for pinned, want in (((0,), (2,)), ((1,), (3,))):
+        tail = residual_tail(fig1, pinned, low)
+        assert tail == want
+        assert B.Solution.of(fig1, pinned + tail).profit == Fraction(11)
+    assert run.fallbacks == 0
 
 
 def test_hand_traced_variant():
@@ -85,11 +86,11 @@ def test_approximate_star_pair(fig1):
 
 def test_exhaustive_fallback_counters():
     inst = scattered_low_instance()
-    run = B.eptas_run(inst, HALF, strategy="exhaustive", max_exhaustive=2, collect=True)
+    run = B.eptas_run(inst, HALF, strategy="exhaustive", max_exhaustive=2)
     assert run.rep.union == frozenset({0})
     assert run.enumerated == 2
-    assert run.fallbacks == 2
-    assert all(rec.fallback for rec in run.records)
+    # every prefix falls back
+    assert run.fallbacks == run.enumerated
     assert run.solution.profit == Fraction(11)
 
     for strategy in ("lagrangian", "auto"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bcopt as B
 from bcopt.errors import InputError
-from bcopt.graphs import connected_components_edges, max_matching_size_bound
+from bcopt.graphs import connected_components_edges
 from util import random_graph
 
 
@@ -80,12 +80,12 @@ def test_greedy_matching_dichotomy(seed, cap):
         assert blocked or capped
 
 
-def test_max_matching_size_bound():
+def test_matching_room_of_the_empty_set():
     g = B.Graph(5, {0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)})
-    assert max_matching_size_bound(g) == 2
+    assert B.MatchingConstraint(g).room(0) == 2
     # the bound only looks at the vertex count, not the edges
-    assert max_matching_size_bound(B.Graph(3, {})) == 1
-    assert max_matching_size_bound(B.Graph(0, {})) == 0
+    assert B.MatchingConstraint(B.Graph(3, {})).room(0) == 1
+    assert B.MatchingConstraint(B.Graph(0, {})).room(0) == 0
 
 
 def test_connected_components_edges():

@@ -184,14 +184,22 @@ def reference_eptas(inst, strategy, max_exhaustive, eps=EPS):
 @pytest.mark.parametrize("strategy,cap", [("auto", 24), ("exhaustive", 6)])
 def test_eptas_run_matches_reference(strategy, cap):
     inst = B.random_bm(11, n_vertices=10)
-    run = B.eptas_run(inst, EPS, strategy=strategy, max_exhaustive=cap, collect=True)
+    run = B.eptas_run(inst, EPS, strategy=strategy, max_exhaustive=cap)
     best, fallbacks, records = reference_eptas(inst, strategy, cap)
     assert run.solution == best
+    assert run.enumerated == len(records)
     assert run.fallbacks == fallbacks
     if strategy == "exhaustive":
         assert fallbacks > 0
-    got = [(r.pinned, r.tail, r.combined, r.fallback) for r in run.records]
-    assert got == records
+    # each prefix's tail, as eptas_run asks residual_tail for it
+    c = inst.constraint
+    low = B.low_profit_ids(inst, EPS, run.alpha)
+    for pinned, want, combined, fallback in records:
+        assert fallback == (strategy == "exhaustive"
+                            and len(c.survivors(c.state_of(pinned), low)) > cap)
+        tail = residual_tail(inst, pinned, low, "auto" if fallback else strategy, cap)
+        assert tail == want, pinned
+        assert B.Solution.of(inst, set(pinned) | set(tail)) == combined
 
 
 def reference_two_approx(inst):
@@ -253,8 +261,8 @@ PLANTED = [("bm", planted_bm(31)), ("bi", planted_bi(32))]
 @pytest.mark.parametrize("eps", [EPS, Fraction(1, 24)], ids=["1/16", "1/24"])
 @pytest.mark.parametrize("name,inst", PLANTED, ids=[n for n, _ in PLANTED])
 def test_skipping_eptas_run_matches_reference(name, inst, eps, strategy, cap):
-    """eptas_run without records skips the residuals its ceiling rules
-    out, past the exhaustive gate too; the solution, `enumerated` and
+    """eptas_run skips the residuals its constraint's bound rules out,
+    past the exhaustive gate too; the solution, `enumerated` and
     `fallbacks` are those of the loop that solves every prefix."""
     run = B.eptas_run(inst, eps, strategy=strategy, max_exhaustive=cap)
     best, fallbacks, records = reference_eptas(inst, strategy, cap, eps)
@@ -263,7 +271,6 @@ def test_skipping_eptas_run_matches_reference(name, inst, eps, strategy, cap):
     assert run.solution == best
     assert run.enumerated == len(records)
     assert run.fallbacks == fallbacks
-    assert run.records == ()
 
 
 @pytest.mark.parametrize("name,inst", PLANTED, ids=[n for n, _ in PLANTED])
@@ -280,19 +287,24 @@ def test_skipping_two_approx_matches_reference(name, inst):
 def residual_builds(monkeypatch, strategy, eps):
     """Graphs, matroids and instances that `eptas_run` builds on a corpus
     BM and a corpus BI file once the representative set is known, and
-    the number of nonempty tails per file."""
+    the number of nonempty tails per file.  Every prefix's residual is
+    also solved through `residual_tail`, as `eptas_run` solves those its
+    bound does not skip."""
     total = Counter()
     tails = []
     for name in ("bm_007.json", "bi_004.json"):
         inst = B.load_instance(str(CORPUS / name))
         rep = B.repset(inst, eps)
+        low = B.low_profit_ids(inst, eps, rep.alpha)
+        prefixes = list(B.iter_solutions(inst, candidates=sorted(rep.union),
+                                         max_size=int(1 / eps)))
         with monkeypatch.context() as m:
             m.setattr(D, "repset", lambda *a, **k: rep)
             counts = counting_builds(m)
-            run = B.eptas_run(inst, eps, strategy=strategy, max_exhaustive=24,
-                              collect=True)
-        assert run.enumerated > 1
-        tails.append(sum(1 for r in run.records if r.tail))
+            run = B.eptas_run(inst, eps, strategy=strategy, max_exhaustive=24)
+            solved = [residual_tail(inst, f, low, strategy, 24) for f in prefixes]
+        assert run.enumerated == len(prefixes) > 1
+        tails.append(sum(1 for t in solved if t))
         total.update(counts)
     return {key: total[key] for key in ("graph", "matroid", "instance")}, tails
 

@@ -46,11 +46,19 @@ edge-list order, the insertion orders of ``blossomparent`` and
 ``blossomdual``, the leaf order of a blossom and LIFO queue pops.  So on
 a graph built by ``add_edge`` in the same edge order, it returns the
 very matching networkx returns, not just one of equal weight.  What
-changed is the data: plain per-vertex tables hold twice each edge
-weight in place of networkx's graph views, ``dualvar`` is a list, the
-edge slack is computed inline, and ``allowedge`` holds the int
-``v * n + w`` for the edge (v, w) rather than a tuple.  The neighbour
-scan binds its dict and set methods once and keeps the slack of its
+changed is the data.  A blossom is an int id: n, n + 1, … in creation
+order, never reused within a solve, so ``b >= n`` tells a blossom from
+a vertex.  ``label``, ``labeledge``, ``bestedge``, ``blossomparent``
+and ``blossombase`` are lists indexed by vertex or blossom id, as are
+each blossom's ``childs``, ``edges`` and ``mybestedges``; an absent
+networkx key is a None entry, and a stage reset refills the lists.
+``blossomdual`` is a dict of the live blossoms, whose key order is
+creation order, so delta3 walks the vertices in ascending order and
+then its keys: the key order of networkx's ``blossomparent``.  Plain
+per-vertex tables hold twice each edge weight in place of networkx's
+graph views, ``dualvar`` is a list, the edge slack is computed inline,
+and ``allowedge`` holds the int ``v * n + w`` for the edge (v, w)
+rather than a tuple.  The neighbour scan keeps the slack of its
 blossom's ``bestedge`` while it runs, since nothing else writes that
 entry during a scan and the duals change only between substages.  The
 float and ``maxcardinality`` branches are gone.  networkx's internal
@@ -62,31 +70,10 @@ Many terms used in the comments are explained in Galil's paper.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .errors import InputError, InvariantError
-
-
-class _Blossom:
-    """A non-trivial blossom or sub-blossom."""
-
-    __slots__ = ("childs", "edges", "mybestedges")
-
-    # childs is an ordered list of the sub-blossoms, starting with the
-    # base and going round the blossom.
-    # edges[i] = (v, w) with v a vertex in childs[i] and w a vertex in
-    # childs[(i + 1) % len(childs)].
-    # For a top-level S-blossom, mybestedges lists the least-slack edges
-    # to neighbouring S-blossoms, or is None if not computed yet.
-
-    def leaves(self) -> Iterator[int]:
-        stack = [*self.childs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, _Blossom):
-                stack.extend(t.childs)
-            else:
-                yield t
 
 
 def max_weight_matching(
@@ -114,17 +101,17 @@ def max_weight_matching(
             maxweight = w
     if not n:
         return []
-    mate, dualvar, blossomparent, blossomdual = _solve(adj, maxweight)
-    _verify_optimum(adj, mate, dualvar, blossomparent, blossomdual)
-    return sorted((v, w) for v, w in mate.items() if v < w)
+    cert = _solve(adj, maxweight)
+    _verify_optimum(adj, *cert)
+    return sorted((v, w) for v, w in cert[0].items() if v < w)
 
 
 def _solve(
     adj: list[dict[int, int]], maxweight: int
-) -> tuple[dict, list[int], dict, dict]:
+) -> tuple[dict[int, int], list[int], list, dict[int, int], list]:
     """The primal-dual stages; returns the matching and its dual
-    certificate (mate, dualvar, blossomparent, blossomdual).  adj[v][w]
-    is twice the weight of edge vw."""
+    certificate (mate, dualvar, blossomparent, blossomdual,
+    blossomedges).  adj[v][w] is twice the weight of edge vw."""
     n = len(adj)
     gnodes = range(n)
 
@@ -133,16 +120,20 @@ def _solve(
     # Initially all vertices are single; updated during augmentation.
     mate: dict[int, int] = {}
 
+    # Vertices are 0..n−1; blossoms get the ids n, n + 1, … as they are
+    # created, and every list below indexed by blossom id grows by one
+    # entry then.
+
     # If b is a top-level blossom,
-    # label.get(b) is None if b is unlabeled (free),
-    #                 1 if b is an S-blossom,
-    #                 2 if b is a T-blossom.
+    # label[b] is None if b is unlabeled (free),
+    #             1 if b is an S-blossom,
+    #             2 if b is a T-blossom.
     # The label of a vertex is found by looking at the label of its
     # top-level containing blossom.
     # If v is a vertex inside a T-blossom, label[v] is 2 iff v is
     # reachable from an S-vertex outside the blossom.
     # Labels are assigned during a stage and reset after each augmentation.
-    label: dict = {}
+    label: list = [None] * n
 
     # If b is a labeled top-level blossom,
     # labeledge[b] = (v, w) is the edge through which b obtained its label
@@ -150,20 +141,20 @@ def _solve(
     # If w is a vertex inside a T-blossom and label[w] == 2,
     # labeledge[w] = (v, w) is an edge through which w is reachable from
     # outside the blossom.
-    labeledge: dict = {}
+    labeledge: list = [None] * n
 
     # inblossom[v] is the top-level blossom to which vertex v belongs;
     # inblossom[v] == v for a top-level vertex, a (trivial) top-level
     # blossom of its own.  Initially all vertices are.
-    inblossom: list = list(gnodes)
+    inblossom = list(gnodes)
 
     # If b is a sub-blossom, blossomparent[b] is its immediate parent
     # (sub-)blossom.  If b is a top-level blossom, blossomparent[b] is None.
-    blossomparent: dict = dict.fromkeys(gnodes)
+    blossomparent: list = [None] * n
 
     # If b is a (sub-)blossom, blossombase[b] is its base VERTEX
     # (i.e. recursive sub-blossom).
-    blossombase: dict = dict(zip(gnodes, gnodes))
+    blossombase = list(gnodes)
 
     # If w is a free vertex (or an unreached vertex inside a T-blossom),
     # bestedge[w] = (v, w) is the least-slack edge from an S-vertex,
@@ -172,7 +163,18 @@ def _solve(
     # bestedge[b] = (v, w) is the least-slack edge to a different S-blossom
     # (v inside b), or None if there is no such edge.
     # This is used for efficient computation of delta2 and delta3.
-    bestedge: dict = {}
+    bestedge: list = [None] * n
+
+    # For a non-trivial blossom b (None at a vertex):
+    # blossomchilds[b] is the list of its sub-blossoms, starting with the
+    # base and going round the blossom;
+    # blossomedges[b][i] = (v, w) with v a vertex in blossomchilds[b][i]
+    # and w a vertex in blossomchilds[b][(i + 1) % len(...)];
+    # if b is a top-level S-blossom, mybestedges[b] lists the least-slack
+    # edges to neighbouring S-blossoms, or is None if not computed yet.
+    blossomchilds: list = [None] * n
+    blossomedges: list = [None] * n
+    mybestedges: list = [None] * n
 
     # dualvar[v] = 2 * u(v) where u(v) is v's variable in the dual
     # optimization problem (multiplication by two keeps all values
@@ -181,20 +183,28 @@ def _solve(
 
     # If b is a non-trivial blossom, blossomdual[b] = z(b) where z(b) is
     # b's variable in the dual optimization problem.
-    blossomdual: dict = {}
+    blossomdual: dict[int, int] = {}
 
     # If v * n + w is in allowedge, the edge (v, w) is known to have zero
     # slack in the optimization problem; otherwise the edge may or may
     # not have zero slack.
     allowedge: set[int] = set()
+    allow = allowedge.add
 
     # Queue of newly discovered S-vertices.
     queue: list[int] = []
 
-    # The hot lookups of the neighbour scan, bound once.
-    label_get = label.get
-    bestedge_get = bestedge.get
-    allow = allowedge.add
+    # The vertices of blossom b, in networkx's leaf order.
+    def leaves(b):
+        out = []
+        stack = [*blossomchilds[b]]
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(blossomchilds[t])
+            else:
+                out.append(t)
+        return out
 
     # Return 2 * slack of edge (v, w) (does not work inside blossoms).
     def slack(v, w):
@@ -204,7 +214,7 @@ def _solve(
     # coming through an edge from vertex v.
     def assignLabel(w, t, v):
         b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
+        assert label[w] is None and label[b] is None
         label[w] = label[b] = t
         if v is not None:
             labeledge[w] = labeledge[b] = (v, w)
@@ -213,8 +223,8 @@ def _solve(
         bestedge[w] = bestedge[b] = None
         if t == 1:
             # b became an S-vertex/blossom; add it(s vertices) to the queue.
-            if isinstance(b, _Blossom):
-                queue.extend(b.leaves())
+            if b >= n:
+                queue.extend(leaves(b))
             else:
                 queue.append(b)
         elif t == 2:
@@ -268,14 +278,18 @@ def _solve(
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
-        # Create blossom.
-        b = _Blossom()
-        blossombase[b] = base
-        blossomparent[b] = None
+        # Create blossom: the next id, with an entry in every table.
+        b = len(blossombase)
+        blossombase.append(base)
+        blossomparent.append(None)
         blossomparent[bb] = b
+        for table in (label, labeledge, bestedge, mybestedges):
+            table.append(None)
         # Make list of sub-blossoms and their interconnecting edge endpoints.
-        b.childs = path = []
-        b.edges = edgs = [(v, w)]
+        path: list[int] = []
+        edgs = [(v, w)]
+        blossomchilds.append(path)
+        blossomedges.append(edgs)
         # Trace back from v to base.
         while bv != bb:
             # Add bv to the new blossom.
@@ -311,25 +325,25 @@ def _solve(
         # Set dual variable to zero.
         blossomdual[b] = 0
         # Relabel vertices.
-        for v in b.leaves():
+        for v in leaves(b):
             if label[inblossom[v]] == 2:
                 # This T-vertex now turns into an S-vertex because it becomes
                 # part of an S-blossom; add it to the queue.
                 queue.append(v)
             inblossom[v] = b
-        # Compute b.mybestedges.
+        # Compute mybestedges[b].
         bestedgeto = {}
         for bv in path:
-            if isinstance(bv, _Blossom):
-                if bv.mybestedges is not None:
+            if bv >= n:
+                if mybestedges[bv] is not None:
                     # Walk this subblossom's least-slack edges.
-                    nblist = bv.mybestedges
+                    nblist = mybestedges[bv]
                     # The sub-blossom won't need this data again.
-                    bv.mybestedges = None
+                    mybestedges[bv] = None
                 else:
                     # This subblossom does not have a list of least-slack
                     # edges; get the information from the vertices.
-                    nblist = [(v, w) for v in bv.leaves() for w in adj[v]]
+                    nblist = [(v, w) for v in leaves(bv) for w in adj[v]]
             else:
                 nblist = [(bv, w) for w in adj[bv]]
             for k in nblist:
@@ -339,17 +353,16 @@ def _solve(
                 bj = inblossom[j]
                 if (
                     bj != b
-                    and label.get(bj) == 1
+                    and label[bj] == 1
                     and ((bj not in bestedgeto) or slack(i, j) < slack(*bestedgeto[bj]))
                 ):
                     bestedgeto[bj] = k
             # Forget about least-slack edge of the subblossom.
             bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
+        mybestedges[b] = list(bestedgeto.values())
         # Select bestedge[b].
         mybestedge = None
-        bestedge[b] = None
-        for k in b.mybestedges:
+        for k in mybestedges[b]:
             kslack = slack(*k)
             if mybestedge is None or kslack < mybestslack:
                 mybestedge = k
@@ -362,21 +375,23 @@ def _solve(
         # yielded as its arguments, which keeps the actual call stack flat.
 
         def _recurse(b, endstage):
+            childs = blossomchilds[b]
+            edges = blossomedges[b]
             # Convert sub-blossoms into top-level blossoms.
-            for s in b.childs:
+            for s in childs:
                 blossomparent[s] = None
-                if isinstance(s, _Blossom):
+                if s >= n:
                     if endstage and blossomdual[s] == 0:
                         # Recursively expand this sub-blossom.
                         yield s
                     else:
-                        for v in s.leaves():
+                        for v in leaves(s):
                             inblossom[v] = s
                 else:
                     inblossom[s] = s
             # If we expand a T-blossom during a stage, its sub-blossoms must be
             # relabeled.
-            if (not endstage) and label.get(b) == 2:
+            if (not endstage) and label[b] == 2:
                 # Start at the sub-blossom through which the expanding
                 # blossom obtained its label, and relabel sub-blossoms until
                 # we reach the base.
@@ -384,10 +399,10 @@ def _solve(
                 # obtained its label initially.
                 entrychild = inblossom[labeledge[b][1]]
                 # Decide in which direction we will go round the blossom.
-                j = b.childs.index(entrychild)
+                j = childs.index(entrychild)
                 if j & 1:
                     # Start index is odd; go forward and wrap.
-                    j -= len(b.childs)
+                    j -= len(childs)
                     jstep = 1
                 else:
                     # Start index is even; go backward.
@@ -397,63 +412,59 @@ def _solve(
                 while j != 0:
                     # Relabel the T-sub-blossom.
                     if jstep == 1:
-                        p, q = b.edges[j]
+                        p, q = edges[j]
                     else:
-                        q, p = b.edges[j - 1]
+                        q, p = edges[j - 1]
                     label[w] = None
                     label[q] = None
                     assignLabel(w, 2, v)
                     # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge.add(p * n + q)
-                    allowedge.add(q * n + p)
+                    allow(p * n + q)
+                    allow(q * n + p)
                     j += jstep
                     if jstep == 1:
-                        v, w = b.edges[j]
+                        v, w = edges[j]
                     else:
-                        w, v = b.edges[j - 1]
+                        w, v = edges[j - 1]
                     # Step to the next T-sub-blossom.
-                    allowedge.add(v * n + w)
-                    allowedge.add(w * n + v)
+                    allow(v * n + w)
+                    allow(w * n + v)
                     j += jstep
                 # Relabel the base T-sub-blossom WITHOUT stepping through to
                 # its mate (so don't call assignLabel).
-                bw = b.childs[j]
+                bw = childs[j]
                 label[w] = label[bw] = 2
                 labeledge[w] = labeledge[bw] = (v, w)
                 bestedge[bw] = None
                 # Continue along the blossom until we get back to entrychild.
                 j += jstep
-                while b.childs[j] != entrychild:
+                while childs[j] != entrychild:
                     # Examine the vertices of the sub-blossom to see whether
                     # it is reachable from a neighboring S-vertex outside the
                     # expanding blossom.
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
+                    bv = childs[j]
+                    if label[bv] == 1:
                         # This sub-blossom just got label S through one of its
                         # neighbors; leave it be.
                         j += jstep
                         continue
-                    if isinstance(bv, _Blossom):
-                        for v in bv.leaves():
-                            if label.get(v):
+                    if bv >= n:
+                        for v in leaves(bv):
+                            if label[v]:
                                 break
                     else:
                         v = bv
                     # If the sub-blossom contains a reachable vertex, assign
                     # label T to the sub-blossom.
-                    if label.get(v):
+                    if label[v]:
                         assert label[v] == 2
                         assert inblossom[v] == bv
                         label[v] = None
                         label[mate[blossombase[bv]]] = None
                         assignLabel(v, 2, labeledge[v][0])
                     j += jstep
-            # Remove the expanded blossom entirely.
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
+            # Remove the expanded blossom entirely; its id is never reused.
+            label[b] = labeledge[b] = bestedge[b] = None
             del blossomdual[b]
 
         stack = [_recurse(b, endstage)]
@@ -472,19 +483,21 @@ def _solve(
         # A recursive function on the same trampoline as expandBlossom.
 
         def _recurse(b, v):
+            childs = blossomchilds[b]
+            edges = blossomedges[b]
             # Bubble up through the blossom tree from vertex v to an immediate
             # sub-blossom of b.
             t = v
             while blossomparent[t] != b:
                 t = blossomparent[t]
             # Recursively deal with the first sub-blossom.
-            if isinstance(t, _Blossom):
+            if t >= n:
                 yield (t, v)
             # Decide in which direction we will go round the blossom.
-            i = j = b.childs.index(t)
+            i = j = childs.index(t)
             if i & 1:
                 # Start index is odd; go forward and wrap.
-                j -= len(b.childs)
+                j -= len(childs)
                 jstep = 1
             else:
                 # Start index is even; go backward.
@@ -493,25 +506,25 @@ def _solve(
             while j != 0:
                 # Step to the next sub-blossom and augment it recursively.
                 j += jstep
-                t = b.childs[j]
+                t = childs[j]
                 if jstep == 1:
-                    w, x = b.edges[j]
+                    w, x = edges[j]
                 else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, _Blossom):
+                    x, w = edges[j - 1]
+                if t >= n:
                     yield (t, w)
                 # Step to the next sub-blossom and augment it recursively.
                 j += jstep
-                t = b.childs[j]
-                if isinstance(t, _Blossom):
+                t = childs[j]
+                if t >= n:
                     yield (t, x)
                 # Match the edge connecting those sub-blossoms.
                 mate[w] = x
                 mate[x] = w
             # Rotate the list of sub-blossoms to put the new base at the front.
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
+            blossomchilds[b] = childs = childs[i:] + childs[:i]
+            blossomedges[b] = edges[i:] + edges[:i]
+            blossombase[b] = blossombase[childs[0]]
             assert blossombase[b] == v
 
         stack = [_recurse(b, v)]
@@ -537,7 +550,7 @@ def _solve(
                     labeledge[bs][0] == mate[blossombase[bs]]
                 )
                 # Augment through the S-blossom from s to base.
-                if isinstance(bs, _Blossom):
+                if bs >= n:
                     augmentBlossom(bs, s)
                 # Update mate[s]
                 mate[s] = j
@@ -552,7 +565,7 @@ def _solve(
                 s, j = labeledge[bt]
                 # Augment through the T-blossom from j to base.
                 assert blossombase[bt] == t
-                if isinstance(bt, _Blossom):
+                if bt >= n:
                     augmentBlossom(bt, j)
                 # Update mate[j]
                 mate[j] = s
@@ -564,13 +577,12 @@ def _solve(
         # the matching.
 
         # Remove labels from top-level blossoms/vertices.
-        label.clear()
-        labeledge.clear()
+        label[:] = labeledge[:] = [None] * len(label)
 
         # Forget all about least-slack edges.
-        bestedge.clear()
+        bestedge[:] = [None] * len(bestedge)
         for b in blossomdual:
-            b.mybestedges = None
+            mybestedges[b] = None
 
         # Loss of labeling means that we can not be sure that currently
         # allowable edges remain allowable throughout this stage.
@@ -581,7 +593,7 @@ def _solve(
 
         # Label single blossoms/vertices with S and put them in the queue.
         for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
+            if (v not in mate) and label[inblossom[v]] is None:
                 assignLabel(v, 1, None)
 
         # Loop until we succeed in augmenting the matching.
@@ -616,7 +628,7 @@ def _solve(
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
-                    lbw = label_get(bw)
+                    lbw = label[bw]
                     if vn + w in allowedge:
                         allowed = True
                     else:
@@ -648,7 +660,7 @@ def _solve(
                                 augmentMatching(v, w)
                                 augmented = 1
                                 break
-                        elif label_get(w) is None:
+                        elif label[w] is None:
                             # w is inside a T-blossom, but w itself has not
                             # yet been reached from outside the blossom;
                             # mark it as reached (we need this to relabel
@@ -660,18 +672,18 @@ def _solve(
                         # keep track of the least-slack non-allowable edge to
                         # a different S-blossom.
                         if bvslack is None:
-                            best = bestedge_get(bv)
+                            best = bestedge[bv]
                             if best is not None:
                                 x, y = best
                                 bvslack = dualvar[x] + dualvar[y] - adj[x][y]
                         if bvslack is None or kslack < bvslack:
                             bestedge[bv] = (v, w)
                             bvslack = kslack
-                    elif label_get(w) is None:
+                    elif label[w] is None:
                         # w is a free vertex (or an unreached vertex inside
                         # a T-blossom) but we can not reach it yet;
                         # keep track of the least-slack edge that reaches w.
-                        best = bestedge_get(w)
+                        best = bestedge[w]
                         if best is None:
                             bestedge[w] = (v, w)
                         else:
@@ -695,8 +707,8 @@ def _solve(
             # Compute delta2: the minimum slack on any edge between
             # an S-vertex and a free vertex.
             for v in gnodes:
-                best = bestedge.get(v)
-                if best is not None and label.get(inblossom[v]) is None:
+                best = bestedge[v]
+                if best is not None and label[inblossom[v]] is None:
                     x, y = best
                     d = dualvar[x] + dualvar[y] - adj[x][y]
                     if d < delta:
@@ -706,34 +718,27 @@ def _solve(
 
             # Compute delta3: half the minimum slack on any edge between
             # a pair of S-blossoms.
-            for b in blossomparent:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
-                ):
-                    kslack = slack(*bestedge[b])
+            for b in chain(gnodes, blossomdual):
+                best = bestedge[b]
+                if best is not None and blossomparent[b] is None and label[b] == 1:
+                    kslack = slack(*best)
                     assert (kslack % 2) == 0
                     d = kslack // 2
                     if d < delta:
                         delta = d
                         deltatype = 3
-                        deltaedge = bestedge[b]
+                        deltaedge = best
 
             # Compute delta4: minimum z variable of any T-blossom.
-            for b in blossomdual:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 2
-                    and blossomdual[b] < delta
-                ):
-                    delta = blossomdual[b]
+            for b, z in blossomdual.items():
+                if blossomparent[b] is None and label[b] == 2 and z < delta:
+                    delta = z
                     deltatype = 4
                     deltablossom = b
 
             # Update dual variables according to delta.
             for v in gnodes:
-                t = label.get(inblossom[v])
+                t = label[inblossom[v]]
                 if t == 1:
                     # S-vertex: 2*u = 2*u - 2*delta
                     dualvar[v] -= delta
@@ -742,10 +747,10 @@ def _solve(
                     dualvar[v] += delta
             for b in blossomdual:
                 if blossomparent[b] is None:
-                    if label.get(b) == 1:
+                    if label[b] == 1:
                         # top-level S-blossom: z = z + 2*delta
                         blossomdual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         # top-level T-blossom: z = z - 2*delta
                         blossomdual[b] -= delta
 
@@ -757,14 +762,14 @@ def _solve(
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
                 assert label[inblossom[v]] == 1
-                allowedge.add(v * n + w)
-                allowedge.add(w * n + v)
+                allow(v * n + w)
+                allow(w * n + v)
                 queue.append(v)
             elif deltatype == 3:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
-                allowedge.add(v * n + w)
-                allowedge.add(w * n + v)
+                allow(v * n + w)
+                allow(w * n + v)
                 assert label[inblossom[v]] == 1
                 queue.append(v)
             elif deltatype == 4:
@@ -782,21 +787,22 @@ def _solve(
             break
 
         # End of a stage; expand all S-blossoms which have zero dual.
-        for b in list(blossomdual.keys()):
+        for b in list(blossomdual):
             if b not in blossomdual:
                 continue  # already expanded
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
+            if blossomparent[b] is None and label[b] == 1 and blossomdual[b] == 0:
                 expandBlossom(b, True)
 
-    return mate, dualvar, blossomparent, blossomdual
+    return mate, dualvar, blossomparent, blossomdual, blossomedges
 
 
 def _verify_optimum(
     adj: list[dict[int, int]],
     mate: dict[int, int],
     dualvar: list[int],
-    blossomparent: dict,
-    blossomdual: dict,
+    blossomparent: list,
+    blossomdual: dict[int, int],
+    blossomedges: list,
 ) -> None:
     """Check the dual certificate of an optimum matching; InvariantError
     on the first condition it breaks."""
@@ -841,9 +847,10 @@ def _verify_optimum(
     # 3. all blossoms with positive dual value are full.
     for b, z in blossomdual.items():
         if z > 0:
-            if len(b.edges) % 2 != 1:
+            edges = blossomedges[b]
+            if len(edges) % 2 != 1:
                 raise _not_optimal("a blossom with an even cycle")
-            for i, j in b.edges[1::2]:
+            for i, j in edges[1::2]:
                 if mate.get(i) != j or mate.get(j) != i:
                     raise _not_optimal("a blossom with positive dual is not full")
 

@@ -55,10 +55,15 @@ class Matroid:
 
     swaps(smask, x, among) lists the exchange-graph arcs at an element x
     outside smask: the bits y of among (a subset of smask) for which
-    smask − y + x is independent.  The default asks one independence
-    query per y and assumes no heredity, so it holds for any family;
-    an override must return exactly what that loop returns, for every
-    smask, dependent ones included.
+    smask − y + x is independent.  It asks one independence query per y
+    and assumes no heredity, so it holds for any family.
+
+    swap_classes(smask, outside, among) groups the bits x of outside
+    (disjoint from smask) by their swaps: {M: the mask of the x whose
+    swaps(smask, x, among) is M}, keys in the order of their least x.
+    The default calls swaps once per x; an override must return exactly
+    what that loop returns, key order included, for every smask,
+    dependent ones included.
 
     addable(smask, among) lists the elements that extend smask: the
     bits x of among (disjoint from smask) for which smask + x is
@@ -101,6 +106,16 @@ class Matroid:
                 out |= low
         return out
 
+    def swap_classes(self, smask: int, outside: int, among: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        rest = outside
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m = self.swaps(smask, low.bit_length() - 1, among)
+            out[m] = out.get(m, 0) | low
+        return out
+
     def addable(self, smask: int, among: int) -> int:
         out = 0
         rest = among
@@ -138,9 +153,11 @@ class UniformMatroid(Matroid):
     def _indep_mask(self, mask: int) -> bool:
         return mask.bit_count() <= self.rank
 
-    def swaps(self, smask: int, x: int, among: int) -> int:
+    def swap_classes(self, smask: int, outside: int, among: int) -> dict[int, int]:
         # every swap keeps the size of smask
-        return among if smask.bit_count() <= self.rank else 0
+        if not outside:
+            return {}
+        return {among if smask.bit_count() <= self.rank else 0: outside}
 
     def addable(self, smask: int, among: int) -> int:
         return among if smask.bit_count() < self.rank else 0
@@ -201,13 +218,23 @@ class PartitionMatroid(Matroid):
             rest ^= hit
         return True
 
-    def swaps(self, smask: int, x: int, among: int) -> int:
+    def swap_classes(self, smask: int, outside: int, among: int) -> dict[int, int]:
         if not self.independent_mask(smask):
-            return super().swaps(smask, x, among)
-        # smask fits every block; x's block either has room, or is full
-        # and only a swap inside it keeps it in capacity
-        bm, cap = self._block_of[x]
-        return among if (smask & bm).bit_count() < cap else among & bm
+            return super().swap_classes(smask, outside, among)
+        # smask fits every block; an x's block either has room, or is
+        # full and only a swap inside it keeps it in capacity, so the x
+        # of one block share their swaps.  Blocks come in the order of
+        # their least x, as do the keys.
+        block_of = self._block_of
+        out: dict[int, int] = {}
+        rest = outside
+        while rest:
+            bm, cap = block_of[(rest & -rest).bit_length() - 1]
+            hit = rest & bm
+            m = among if (smask & bm).bit_count() < cap else among & bm
+            out[m] = out.get(m, 0) | hit
+            rest ^= hit
+        return out
 
     def addable(self, smask: int, among: int) -> int:
         if not self.independent_mask(smask):

@@ -39,12 +39,12 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import blossom
 from .errors import CapacityError, InputError
 from .exchange import class_members
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .matroids import Matroid, _ids_of
 from .model import BCInstance, ProfitClassing, Solution, _check_epsilon
 
@@ -217,7 +217,7 @@ def max_weight_matching(
     graph: Graph, weights: Mapping[int, int | Fraction]
 ) -> frozenset[int]:
     """A maximum-weight matching (edge ids) over the edges that have a
-    weight, for int or Fraction weights.
+    weight, for int or Fraction weights keyed by edge ids of the graph.
 
     Weights are scaled to integers by the lcm of their denominators
     before the blossom runs, so it works on exact integers throughout.
@@ -228,16 +228,13 @@ def max_weight_matching(
     vertex-pair order, and picks the matching networkx 3.6.1's
     ``max_weight_matching`` picks on a graph built in that order.
     """
+    _check_weights(graph.edge_ends, weights, "edge", "the graph")
     chosen_rep: dict[tuple[int, int], tuple[int | Fraction, int]] = {}
     for e in sorted(weights):
         w = weights[e]
-        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-            raise InputError(f"edge {e}: weight {w!r} is not an exact rational")
         if w <= 0:
             continue
-        pair = graph.edge_ends.get(e)
-        if pair is None:
-            raise InputError(f"unknown edge id: {e!r}")
+        pair = graph.edge_ends[e]
         cur = chosen_rep.get(pair)
         if cur is None or w > cur[0]:
             chosen_rep[pair] = (w, e)
@@ -247,15 +244,21 @@ def max_weight_matching(
     return frozenset(chosen_rep[pair][1] for pair in pairs)
 
 
-def _check_weights(m: Matroid, weights: Mapping[int, int | Fraction]) -> None:
-    """The weights contract of both common-independent-set methods:
-    exact rationals on ground elements; an element without a weight
-    takes no part."""
+def _check_weights(
+    ids: Container[int], weights: Mapping[int, int | Fraction], what: str, where: str
+) -> None:
+    """The weights contract of both relaxation oracles and both
+    common-independent-set methods: exact rationals keyed by int ids
+    (no bool) in ids; an id without a weight takes no part.  Every key
+    is checked, whatever the sign of its weight."""
     for e, w in weights.items():
-        if e not in m.ground:
-            raise InputError(f"weight on element {e!r} outside the ground set")
-        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-            raise InputError(f"element {e}: weight {w!r} is not an exact rational")
+        # the exact type tests pass the common keys and weights unasked
+        if not (type(e) is int or _is_int(e)) or e not in ids:
+            raise InputError(f"weight on {what} {e!r} outside {where}")
+        if type(w) not in (int, Fraction) and (
+            isinstance(w, bool) or not isinstance(w, (int, Fraction))
+        ):
+            raise InputError(f"{what} {e}: weight {w!r} is not an exact rational")
 
 
 def mi_extreme_chain(
@@ -276,7 +279,7 @@ def mi_extreme_chain(
     """
     if m1.ground != m2.ground:
         raise InputError("the two matroids must share a ground set")
-    _check_weights(m1, weights)
+    _check_weights(m1.ground, weights, "element", "the ground set")
     elems = [e for e in sorted(weights) if weights[e] > 0]
     if any(base >> e & 1 for e in elems):
         raise InputError("weighted elements must lie outside the base set")
@@ -311,13 +314,14 @@ def _best_augmenting_path(
     list one `Matroid.addable` call.  The min-length min-hop choice is
     what keeps the augmented set extreme.
 
-    The arcs come from one `Matroid.swaps` call per matroid and element
-    x outside the set: y → x when S − y + x is independent in the first
-    matroid, x → y when it is in the second.  They are kept as head
-    sets, each shared by a set of tails: the x whose first-matroid mask
-    is M are the heads of every y in M, and the members of x's own
-    second-matroid mask are the heads of every x with that mask.
-    Uniform and partition matroids give a handful of distinct masks.
+    The arcs come from one `Matroid.swap_classes` call per matroid,
+    which groups the x outside the set by their swaps: y → x when
+    S − y + x is independent in the first matroid, x → y when it is in
+    the second.  They are kept as head sets, each shared by a set of
+    tails: the x whose first-matroid mask is M are the heads of every y
+    in M, and the members of x's own second-matroid mask are the heads
+    of every x with that mask.  Uniform and partition matroids give a
+    handful of distinct masks, in closed form.
 
     Each element keeps one label, the least key over the walks from a
     source to it, relaxed in rounds over changed labels.  In a round,
@@ -347,14 +351,8 @@ def _best_augmenting_path(
         return None
     # heads[M]: the x whose first-matroid swaps are M; tails[M]: the x
     # whose second-matroid swaps are M
-    heads: dict[int, int] = {}
-    tails: dict[int, int] = {}
-    for x in _ids_of(outside):
-        bit = 1 << x
-        m = m1.swaps(smask, x, among)
-        heads[m] = heads.get(m, 0) | bit
-        m = m2.swaps(smask, x, among)
-        tails[m] = tails.get(m, 0) | bit
+    heads = m1.swap_classes(smask, outside, among)
+    tails = m2.swap_classes(smask, outside, among)
     # (tails mask, ascending heads) of each distinct arc set
     arcs = [(t, _ids_of(h)) for t, h in heads.items() if t]
     arcs += [(t, _ids_of(h)) for h, t in tails.items() if h]
@@ -415,7 +413,7 @@ def max_weight_common_independent(
         return mi_extreme_chain(m1, m2, weights)[-1]
     if method != "enumeration":
         raise InputError(f"unknown method {method!r}")
-    _check_weights(m1, weights)
+    _check_weights(m1.ground, weights, "element", "the ground set")
     n = len(m1.ground_list)
     if n > MAX_ENUM:
         raise CapacityError(f"enumeration over {n} elements (bound {MAX_ENUM})")

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -176,8 +177,8 @@ SETUP = """
 from bcopt import blossom
 from bcopt.errors import InvariantError
 adj = [{1: 4}, {0: 4, 2: 10}, {1: 10, 3: 4}, {2: 4}]
-mate, dualvar, parent, zdual = blossom._solve(adj, 5)
-blossom._verify_optimum(adj, mate, dualvar, parent, zdual)
+mate, dualvar, parent, zdual, bedges = blossom._solve(adj, 5)
+blossom._verify_optimum(adj, mate, dualvar, parent, zdual, bedges)
 """
 
 
@@ -188,7 +189,7 @@ def test_corrupted_certificate_raises(corrupt):
     assert scope["mate"] == {1: 2, 2: 1}
     exec(CORRUPTIONS[corrupt], scope)
     with pytest.raises(InvariantError):
-        exec("blossom._verify_optimum(adj, mate, dualvar, parent, zdual)", scope)
+        exec("blossom._verify_optimum(adj, mate, dualvar, parent, zdual, bedges)", scope)
 
 
 @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
@@ -197,7 +198,7 @@ def test_corrupted_certificate_raises_under_optimize_flag(corrupt):
     script = SETUP + CORRUPTIONS[corrupt] + textwrap.dedent(
         """
         try:
-            blossom._verify_optimum(adj, mate, dualvar, parent, zdual)
+            blossom._verify_optimum(adj, mate, dualvar, parent, zdual, bedges)
         except InvariantError as exc:
             print(type(exc).__name__, __debug__)
         """
@@ -208,6 +209,83 @@ def test_corrupted_certificate_raises_under_optimize_flag(corrupt):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "InvariantError False"
+
+
+# The s_blossom graph ends with one blossom of positive dual, the
+# triangle 1–2–3, whose odd-indexed edge 3–2 is matched: its
+# certificate must reject each corruption below, with the named check.
+BLOSSOM_CORRUPTIONS = {
+    "negative dual": ("for b in zdual: zdual[b] = -2", "a negative blossom dual"),
+    # the edge list rotated by one puts the unmatched 2–1 at odd index
+    "not full": (
+        "for b in zdual: bedges[b] = bedges[b][1:] + bedges[b][:1]",
+        "a blossom with positive dual is not full",
+    ),
+}
+BLOSSOM_SETUP = """
+from bcopt import blossom
+from bcopt.errors import InvariantError
+adj = [{} for _ in range(7)]
+for u, v, w in %r:
+    adj[u][v] = adj[v][u] = 2 * w
+mate, dualvar, parent, zdual, bedges = blossom._solve(adj, 10)
+blossom._verify_optimum(adj, mate, dualvar, parent, zdual, bedges)
+""" % (CLASSIC["s_blossom"],)
+
+
+@pytest.mark.parametrize("corrupt", sorted(BLOSSOM_CORRUPTIONS))
+def test_corrupted_blossom_certificate_raises(corrupt):
+    scope: dict = {}
+    exec(BLOSSOM_SETUP, scope)
+    assert len(scope["zdual"]) == 1
+    assert all(z > 0 for z in scope["zdual"].values())
+    code, what = BLOSSOM_CORRUPTIONS[corrupt]
+    exec(code, scope)
+    with pytest.raises(InvariantError, match=what):
+        exec("blossom._verify_optimum(adj, mate, dualvar, parent, zdual, bedges)", scope)
+
+
+@pytest.mark.parametrize("corrupt", sorted(BLOSSOM_CORRUPTIONS))
+def test_corrupted_blossom_certificate_raises_under_optimize_flag(corrupt):
+    code, what = BLOSSOM_CORRUPTIONS[corrupt]
+    script = BLOSSOM_SETUP + code + textwrap.dedent(
+        """
+        try:
+            blossom._verify_optimum(adj, mate, dualvar, parent, zdual, bedges)
+        except InvariantError as exc:
+            print(type(exc).__name__, __debug__, str(exc))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.startswith("InvariantError False ")
+    assert what in out.stdout
+
+
+@pytest.mark.parametrize("nv", [30, 40, 52])
+def test_same_pairs_as_networkx_on_relaxation_probes(nv, monkeypatch):
+    # the graphs the Lagrangian search hands the blossom at the sizes of
+    # the nps_large benchmark, breakpoint probes (where two matchings
+    # tie) included
+    probes = []
+    solve = blossom.max_weight_matching
+
+    def record(n, edges):
+        probes.append((n, list(edges)))
+        return solve(n, edges)
+
+    monkeypatch.setattr(blossom, "max_weight_matching", record)
+    breakpoints = 0
+    for seed in range(3):
+        inst = B.random_bm(seed, n_vertices=nv, budget_fraction=Fraction(1, 60))
+        cert = B.lagrangian_search(inst)
+        breakpoints += cert.lam_lo == cert.lam_hi
+    assert breakpoints and len(probes) > 6
+    for n, edges in probes:
+        assert solve(n, edges) == nx_pairs(n, edges)
 
 
 def test_package_runs_without_networkx():

@@ -356,20 +356,19 @@ def _random_submask(rng, mask):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_swaps_override_equals_query_loop(seed):
-    # the closed forms list exactly what one independence query per y
-    # does, for dependent sets, capacity-0 blocks and base bits too
+def test_swap_classes_override_equals_query_loop(seed):
+    # the closed forms group the x exactly as one swaps call per x does,
+    # key order included, for dependent sets, capacity-0 blocks, base
+    # bits and an empty outside too
     rng = random.Random(seed)
     m = _random_block_matroid(rng)
-    ground = m.ground_list
     for _ in range(10):
         smask = _random_submask(rng, m.ground_mask)
-        outside = [e for e in ground if not smask >> e & 1]
-        if not outside:
-            continue
-        x = rng.choice(outside)
+        outside = _random_submask(rng, m.ground_mask & ~smask)
         among = _random_submask(rng, smask)  # the rest of smask is a base
-        assert m.swaps(smask, x, among) == B.Matroid.swaps(m, smask, x, among)
+        got = m.swap_classes(smask, outside, among)
+        want = B.Matroid.swap_classes(m, smask, outside, among)
+        assert list(got.items()) == list(want.items())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -420,12 +419,27 @@ def test_hereditary_tells_raw_tables_apart():
 
 
 def test_swaps_closed_forms_by_hand():
+    # one x per call: the single class is {swaps of x: x}
     u = B.UniformMatroid(range(5), 2)
-    assert u.swaps(0b00011, 4, 0b00011) == 0b00011   # |S| = rank
-    assert u.swaps(0b00111, 4, 0b00101) == 0         # S already dependent
+    assert u.swap_classes(0b00011, 1 << 4, 0b00011) == {0b00011: 1 << 4}  # |S| = rank
+    assert u.swap_classes(0b00111, 1 << 4, 0b00101) == {0: 1 << 4}  # S already dependent
     p = B.PartitionMatroid(range(6), [[0, 1, 2], [3, 4], [5]], [2, 1, 0])
-    assert p.swaps(0b001001, 1, 0b001001) == 0b001001  # x's block has room
-    assert p.swaps(0b001011, 2, 0b001011) == 0b000011  # full: swap inside it
-    assert p.swaps(0b001001, 5, 0b001001) == 0         # capacity 0
-    assert p.swaps(0b001001, 4, 0b000001) == 0         # the block's y is base
-    assert p.swaps(0b011001, 2, 0b011001) == 0b011000  # dependent S: the loop
+    assert p.swap_classes(0b001001, 1 << 1, 0b001001) == {0b001001: 1 << 1}  # x's block has room
+    assert p.swap_classes(0b001011, 1 << 2, 0b001011) == {0b000011: 1 << 2}  # full: swap inside it
+    assert p.swap_classes(0b001001, 1 << 5, 0b001001) == {0: 1 << 5}  # capacity 0
+    assert p.swap_classes(0b001001, 1 << 4, 0b000001) == {0: 1 << 4}  # the block's y is base
+    assert p.swap_classes(0b011001, 1 << 2, 0b011001) == {0b011000: 1 << 2}  # dependent S: the loop
+
+
+def test_swap_classes_merge_blocks_by_hand():
+    # blocks 1 and 2 both have room, so their x share one class; block
+    # 0 is full.  Keys come in the order of their least x
+    p = B.PartitionMatroid(range(8), [[0, 1, 2], [3, 4], [5, 6, 7]], [2, 2, 2])
+    smask = 0b00001011
+    assert list(p.swap_classes(smask, 0b11110100, smask).items()) == [
+        (0b00000011, 0b00000100),
+        (smask, 0b11110000),
+    ]
+    assert list(p.swap_classes(smask, 0b11110100, smask).items()) == list(
+        B.Matroid.swap_classes(p, smask, 0b11110100, smask).items()
+    )

@@ -329,9 +329,9 @@ def test_augmenting_path_relaxes_a_head_set_from_its_least_tail(monkeypatch):
 
 @pytest.mark.parametrize("first", ["uniform", "partition"])
 def test_augmentation_queries_grow_with_the_outside_only(first, monkeypatch):
-    # the uniform matroids answer addable and swaps with no query; a
-    # partition matroid asks whether S is independent once for its
-    # sources and once per x for its swaps: |E∖S| + 1 per augmentation,
+    # the uniform matroids answer addable and swap_classes with no
+    # query; a partition matroid asks whether S is independent once for
+    # its sources and once for its swap classes: 2 per augmentation,
     # where querying every (y, x) pair would take 2·|S|·|E∖S|
     n = 40
     rng = random.Random(first)
@@ -364,7 +364,7 @@ def test_augmentation_queries_grow_with_the_outside_only(first, monkeypatch):
     chain = B.mi_extreme_chain(m1, m2, w)
     assert len(chain) > 8
     for got, inside, outside in seen:
-        assert got <= (0 if first == "uniform" else outside + 1)
+        assert got <= (0 if first == "uniform" else 2)
     assert any(2 * i * o > 4 * got for got, i, o in seen)
 
 
@@ -467,6 +467,21 @@ def test_mi_methods_share_one_weights_contract():
         for method in ("augmenting", "enumeration"):
             with pytest.raises(InputError, match="element 7 outside the ground set"):
                 B.max_weight_common_independent(u, p, w, method=method)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{999: 0}, {999: F(-1), 0: 1}, {True: 1}, {1.0: 1}, {"a": 1, 0: 1}, {0: 1, None: 2}],
+)
+def test_relaxation_oracles_check_every_weight_key(weights):
+    # each key is an int id (no bool) of the graph or the ground set,
+    # checked before the sign of its weight drops it
+    g = B.Graph(4, {0: (0, 1), 1: (1, 2), 2: (2, 3)})
+    u = B.UniformMatroid(range(3), 2)
+    with pytest.raises(InputError, match="weight on edge .* outside the graph"):
+        B.max_weight_matching(g, weights)
+    with pytest.raises(InputError, match="weight on element .* outside the ground set"):
+        B.mi_extreme_chain(u, u, weights)
 
 
 def test_common_independent_enumeration_gate():

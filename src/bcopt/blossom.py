@@ -60,7 +60,11 @@ graph views, ``dualvar`` is a list, the edge slack is computed inline,
 and ``allowedge`` holds the int ``v * n + w`` for the edge (v, w)
 rather than a tuple.  The neighbour scan keeps the slack of its
 blossom's ``bestedge`` while it runs, since nothing else writes that
-entry during a scan and the duals change only between substages.  The
+entry during a scan and the duals change only between substages.
+``bestslack`` holds the slack of a free vertex's ``bestedge``: only the
+scan sets that entry, and each dual update moves it by a known amount,
+so neither the scan nor delta2 rereads the two duals and the weight.
+A stage labels a single vertex outside any blossom S in place.  The
 float and ``maxcardinality`` branches are gone.  networkx's internal
 asserts stay; the final optimality certificate (`_verify_optimum`)
 raises InvariantError, so it runs under ``python -O`` as well.
@@ -164,6 +168,11 @@ def _solve(
     # (v inside b), or None if there is no such edge.
     # This is used for efficient computation of delta2 and delta3.
     bestedge: list = [None] * n
+
+    # bestslack[w] = 2 * slack of bestedge[w] for a free vertex w (or an
+    # unreached vertex inside a T-blossom), kept by the scan and updated
+    # by each dual update.
+    bestslack = [0] * n
 
     # For a non-trivial blossom b (None at a vertex):
     # blossomchilds[b] is the list of its sub-blossoms, starting with the
@@ -591,10 +600,16 @@ def _solve(
         # Make queue empty.
         queue[:] = []
 
-        # Label single blossoms/vertices with S and put them in the queue.
+        # Label single blossoms/vertices with S and put them in the queue
+        # (a vertex outside any blossom directly: the reset cleared it).
         for v in gnodes:
-            if (v not in mate) and label[inblossom[v]] is None:
-                assignLabel(v, 1, None)
+            if v not in mate:
+                b = inblossom[v]
+                if b == v:
+                    label[v] = 1
+                    queue.append(v)
+                elif label[b] is None:
+                    assignLabel(v, 1, None)
 
         # Loop until we succeed in augmenting the matching.
         augmented = 0
@@ -683,13 +698,9 @@ def _solve(
                         # w is a free vertex (or an unreached vertex inside
                         # a T-blossom) but we can not reach it yet;
                         # keep track of the least-slack edge that reaches w.
-                        best = bestedge[w]
-                        if best is None:
+                        if bestedge[w] is None or kslack < bestslack[w]:
                             bestedge[w] = (v, w)
-                        else:
-                            x, y = best
-                            if kslack < dualvar[x] + dualvar[y] - adj[x][y]:
-                                bestedge[w] = (v, w)
+                            bestslack[w] = kslack
 
             if augmented:
                 break
@@ -707,14 +718,12 @@ def _solve(
             # Compute delta2: the minimum slack on any edge between
             # an S-vertex and a free vertex.
             for v in gnodes:
-                best = bestedge[v]
-                if best is not None and label[inblossom[v]] is None:
-                    x, y = best
-                    d = dualvar[x] + dualvar[y] - adj[x][y]
+                if bestedge[v] is not None and label[inblossom[v]] is None:
+                    d = bestslack[v]
                     if d < delta:
                         delta = d
                         deltatype = 2
-                        deltaedge = best
+                        deltaedge = bestedge[v]
 
             # Compute delta3: half the minimum slack on any edge between
             # a pair of S-blossoms.
@@ -745,6 +754,9 @@ def _solve(
                 elif t == 2:
                     # T-vertex: 2*u = 2*u + 2*delta
                     dualvar[v] += delta
+                else:
+                    # free vertex: its bestedge's S end drops by delta
+                    bestslack[v] -= delta
             for b in blossomdual:
                 if blossomparent[b] is None:
                     if label[b] == 1:

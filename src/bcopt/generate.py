@@ -6,12 +6,13 @@ Identical parameters and seed produce identical instances bit-for-bit
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -45,11 +46,11 @@ def random_bm(
     given probability; when max_edges is set, later pairs are dropped
     once the quota is full.  Budget = budget_fraction × total cost.
     """
-    _check_ranges(profit_range, cost_range, budget_fraction)
-    if n_vertices < 0 or not 0 <= edge_prob <= 1:
+    _check_common(seed, profit_range, cost_range, budget_fraction)
+    if not _is_int(n_vertices) or n_vertices < 0 or not 0 <= edge_prob <= 1:
         raise InputError("bad generator parameters")
-    if max_edges is not None and max_edges < 1:
-        raise InputError(f"max_edges must be at least 1, got {max_edges}")
+    if max_edges is not None and (not _is_int(max_edges) or max_edges < 1):
+        raise InputError(f"max_edges must be at least 1, got {max_edges!r}")
     rng = random.Random(seed)
     p = float(edge_prob)
     ends = {}
@@ -60,7 +61,7 @@ def random_bm(
                     continue
                 ends[len(ends)] = (u, v)
     elements = _random_elements(rng, len(ends), profit_range, cost_range)
-    budget = budget_fraction * sum((e.cost for e in elements), Fraction(0))
+    budget = budget_fraction * sum([e.cost.numerator for e in elements])
     return BCInstance(elements, MatchingConstraint(Graph(n_vertices, ends)), budget)
 
 
@@ -73,9 +74,9 @@ def random_bi(
     budget_fraction: Fraction = Fraction(1, 2),
 ) -> BCInstance:
     """Random budgeted matroid-intersection instance over n elements."""
-    _check_ranges(profit_range, cost_range, budget_fraction)
-    if n < 1:
-        raise InputError("need at least one element")
+    _check_common(seed, profit_range, cost_range, budget_fraction)
+    if not _is_int(n) or n < 1:
+        raise InputError(f"n must be an int ≥ 1, got {n!r}")
     for kind in kinds:
         if kind not in BI_KINDS:
             raise InputError(f"unknown matroid kind {kind!r}")
@@ -84,20 +85,24 @@ def random_bi(
     m1 = _random_matroid(rng, ground, kinds[0])
     m2 = _random_matroid(rng, ground, kinds[1])
     elements = _random_elements(rng, n, profit_range, cost_range)
-    budget = budget_fraction * sum((e.cost for e in elements), Fraction(0))
+    budget = budget_fraction * sum([e.cost.numerator for e in elements])
     return BCInstance(elements, MatroidIntersectionConstraint(m1, m2), budget)
 
 
-def _check_ranges(
+def _check_common(
+    seed: int,
     profit_range: tuple[int, int],
     cost_range: tuple[int, int],
     budget_fraction: Fraction,
 ) -> None:
+    # random.Random(None) would seed from the clock
+    if not _is_int(seed):
+        raise InputError(f"seed must be an int, got {seed!r}")
     for lo, hi in (profit_range, cost_range):
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi):
-            raise InputError(f"bad range ({lo}, {hi})")
-    if budget_fraction < 0:
-        raise InputError("budget fraction must be nonnegative")
+        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
+            raise InputError(f"bad range ({lo!r}, {hi!r})")
+    if type(budget_fraction) not in (int, Fraction) or budget_fraction < 0:
+        raise InputError(f"budget_fraction must be a rational ≥ 0, got {budget_fraction!r}")
 
 
 def _random_elements(
@@ -106,12 +111,9 @@ def _random_elements(
     profit_range: tuple[int, int],
     cost_range: tuple[int, int],
 ) -> list[Element]:
+    frac = functools.cache(Fraction)  # one object per drawn value
     return [
-        Element(
-            i,
-            Fraction(rng.randint(*profit_range)),
-            Fraction(rng.randint(*cost_range)),
-        )
+        Element(i, frac(rng.randint(*profit_range)), frac(rng.randint(*cost_range)))
         for i in range(n)
     ]
 

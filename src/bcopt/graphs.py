@@ -39,9 +39,10 @@ class Graph:
         ends: dict[int, tuple[int, int]] = {}
         vmask: dict[int, int] = {}
         for eid, (u, v) in edges.items():
-            if not _is_int(eid) or eid < 0:
+            # the exact type test passes the common ids and ends unasked
+            if not (type(eid) is int or _is_int(eid)) or eid < 0:
                 raise InputError(f"bad edge id: {eid!r}")
-            if not _is_int(u) or not _is_int(v):
+            if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
                 raise InputError(f"edge {eid}: endpoints must be integers: {(u, v)!r}")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise InputError(f"edge {eid}: endpoint out of range: ({u}, {v})")

@@ -121,7 +121,9 @@ def relaxation_solve(
         if nxt is not None:
             chosen.add(e)
             state = nxt
-    value = inst.profit_of(chosen) - lam * inst.cost_of(chosen)
+    # every chosen id has a weight k·(p − λc), k = sp·sc·λ.den
+    k = inst._sp * inst._sc * lam.denominator
+    value = Fraction(sum([weights[e] for e in chosen]), k)
     if with_chain:
         return frozenset(chosen), value, chain
     return frozenset(chosen), value

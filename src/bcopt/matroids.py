@@ -38,13 +38,16 @@ def _mask_of(ids: Iterable[int], distinct: bool = False) -> int:
     return m
 
 
+# the set bits of each byte value, ascending, built by doubling
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _b in range(8):
+    _BYTE_BITS += [bits + (_b,) for bits in _BYTE_BITS]
+
+
 def _ids_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The ids of a mask's set bits, ascending, read a byte at a time."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return tuple([8 * i + b for i, x in enumerate(data) if x for b in _BYTE_BITS[x]])
 
 
 class Matroid:

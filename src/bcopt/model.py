@@ -257,9 +257,10 @@ class BCInstance:
         for e in elements:
             if not _is_int(e.id) or e.id < 0:
                 raise InputError(f"bad element id: {e.id!r}")
-            if e.profit < 0:
+            # a Fraction's sign is its numerator's
+            if e.profit.numerator < 0:
                 raise InputError(f"element {e.id}: negative profit")
-            if e.cost < 0:
+            if e.cost.numerator < 0:
                 raise InputError(f"element {e.id}: negative cost")
         if ids != list(range(len(ids))):
             raise InputError("element ids must be 0..n-1")

@@ -39,7 +39,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import blossom
 from .errors import CapacityError, InputError
@@ -228,36 +228,44 @@ def max_weight_matching(
     vertex-pair order, and picks the matching networkx 3.6.1's
     ``max_weight_matching`` picks on a graph built in that order.
     """
-    _check_weights(graph.edge_ends, weights, "edge", "the graph")
-    chosen_rep: dict[tuple[int, int], tuple[int | Fraction, int]] = {}
-    for e in sorted(weights):
-        w = weights[e]
-        if w <= 0:
-            continue
-        pair = graph.edge_ends[e]
-        cur = chosen_rep.get(pair)
-        if cur is None or w > cur[0]:
-            chosen_rep[pair] = (w, e)
-    scale = math.lcm(1, *(w.denominator for w, _ in chosen_rep.values()))
-    edges = [(u, v, int(chosen_rep[u, v][0] * scale)) for u, v in sorted(chosen_rep)]
+    _check_weights(graph.edge_ends.keys(), weights, "edge", "the graph")
+    ends = graph.edge_ends
+    rep: dict[tuple[int, int], tuple[int | Fraction, int]] = {}
+    for e, w in sorted(weights.items()):
+        if w > 0:
+            pair = ends[e]
+            cur = rep.get(pair)
+            if cur is None or w > cur[0]:
+                rep[pair] = (w, e)
+    reps = sorted(rep.items())
+    if {*map(type, weights.values())} <= {int}:
+        edges = [(u, v, w) for (u, v), (w, _) in reps]
+    else:
+        scale = math.lcm(*(w.denominator for _, (w, _) in reps))
+        edges = [(u, v, int(w * scale)) for (u, v), (w, _) in reps]
     pairs = blossom.max_weight_matching(graph.num_vertices, edges)
-    return frozenset(chosen_rep[pair][1] for pair in pairs)
+    return frozenset(rep[pair][1] for pair in pairs)
 
 
 def _check_weights(
-    ids: Container[int], weights: Mapping[int, int | Fraction], what: str, where: str
+    ids: AbstractSet[int], weights: Mapping[int, int | Fraction], what: str, where: str
 ) -> None:
     """The weights contract of both relaxation oracles and both
     common-independent-set methods: exact rationals keyed by int ids
     (no bool) in ids; an id without a weight takes no part.  Every key
     is checked, whatever the sign of its weight."""
+    # the common case, int keys in ids and int or Fraction weights,
+    # passes three set tests without a Python loop
+    if (
+        {*map(type, weights)} <= {int}
+        and weights.keys() <= ids
+        and {*map(type, weights.values())} <= {int, Fraction}
+    ):
+        return
     for e, w in weights.items():
-        # the exact type tests pass the common keys and weights unasked
-        if not (type(e) is int or _is_int(e)) or e not in ids:
+        if not _is_int(e) or e not in ids:
             raise InputError(f"weight on {what} {e!r} outside {where}")
-        if type(w) not in (int, Fraction) and (
-            isinstance(w, bool) or not isinstance(w, (int, Fraction))
-        ):
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
             raise InputError(f"{what} {e}: weight {w!r} is not an exact rational")
 
 
@@ -294,7 +302,7 @@ def mi_extreme_chain(
             break
         for v in seq:
             smask ^= 1 << v
-        chain.append(frozenset(e for e in elems if smask >> e & 1))
+        chain.append(frozenset(_ids_of(smask & ~base)))
     return chain
 
 
@@ -337,14 +345,22 @@ def _best_augmenting_path(
     over simple paths keeping the least entry per element per hop
     therefore picks it too.  Labels settle within len(elems) − 1
     rounds; the cap only ends the search off matroids.
+
+    Lengths and labels are lists indexed by element id.  Each head set
+    is listed once per call; a round lists the changed tails of an arc
+    set, tmask & changed, only when it has some.
     """
-    among = 0  # the elements in the set, which a swap can take out
-    outside = 0
+    # node lengths, indexed by element id; among: the elements in the
+    # set, which a swap can take out
+    length = [0] * (max(elems) + 1)
+    among = outside = 0
     for e in elems:
         if smask >> e & 1:
             among |= 1 << e
+            length[e] = w[e]
         else:
             outside |= 1 << e
+            length[e] = -w[e]
     sources = m1.addable(smask, outside)
     sinks = m2.addable(smask, outside)
     if not sources or not sinks:
@@ -356,9 +372,10 @@ def _best_augmenting_path(
     # (tails mask, ascending heads) of each distinct arc set
     arcs = [(t, _ids_of(h)) for t, h in heads.items() if t]
     arcs += [(t, _ids_of(h)) for h, t in tails.items() if h]
-    length = {e: (w[e] if smask >> e & 1 else -w[e]) for e in elems}
 
-    label = {v: (length[v], 0, (v,)) for v in _ids_of(sources)}
+    label: list = [None] * len(length)
+    for v in _ids_of(sources):
+        label[v] = (length[v], 0, (v,))
     changed = sources
     for _ in elems:
         touched = 0
@@ -366,11 +383,11 @@ def _best_augmenting_path(
             live = tmask & changed
             if not live:
                 continue
-            base_len, hops, seq = min(label[u] for u in _ids_of(live))
+            base_len, hops, seq = min([label[u] for u in _ids_of(live)])
             hops += 1
             for v in hs:
                 new_len = base_len + length[v]
-                cur = label.get(v)
+                cur = label[v]
                 # the key (length, hops, sequence) against v's label,
                 # field by field, since a Fraction comparison is a Python
                 # call; a candidate that loses on (length, hops) builds
@@ -386,7 +403,9 @@ def _best_augmenting_path(
         if not touched:
             break
         changed = touched
-    return min((label[x] for x in _ids_of(sinks) if x in label), default=None)
+    return min(
+        (label[x] for x in _ids_of(sinks) if label[x] is not None), default=None
+    )
 
 
 MAX_ENUM = 20

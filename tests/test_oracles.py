@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcopt as B
-from bcopt import oracles
+from bcopt import lagrangian, oracles
 from bcopt.errors import CapacityError, InputError
 from bcopt.generate import BI_KINDS
 from bcopt.matroids import Matroid
@@ -16,6 +16,7 @@ from util import (
     Contraction,
     all_matchings,
     brute_max_weight,
+    dict_label_search,
     random_graph,
     random_matroid,
     random_partition,
@@ -202,14 +203,16 @@ def test_mi_extreme_chain_sizes():
         assert sum((w[e] for e in chain[-1]), F(0)) == brute_max_weight(common, w)
 
 
-def _reference_chain(monkeypatch, m1, m2, w, base=0):
-    """The chain grown with the reference path search patched in; each
+def _reference_chain(
+    monkeypatch, m1, m2, w, base=0, search=reference_best_augmenting_path
+):
+    """The chain grown with a reference path search patched in; each
     step also checks that the library's search returns the same
     (length, hops, sequence)."""
     real = oracles._best_augmenting_path
 
     def reference(*args):
-        want = reference_best_augmenting_path(*args)
+        want = search(*args)
         assert real(*args) == want
         return want
 
@@ -250,6 +253,72 @@ def test_mi_extreme_chain_matches_reference_at_nps_sizes(n, first, monkeypatch):
     m2 = B.UniformMatroid(range(n), n // 3)
     w = {e: F(rng.randint(1, 20)) - F(rng.randint(1, 20), 2) for e in range(n)}
     assert B.mi_extreme_chain(m1, m2, w) == _reference_chain(monkeypatch, m1, m2, w)
+
+
+def _probe_lams(inst):
+    """λ = 0, the λ of every probe of inst's Lagrangian search, where
+    the search snaps onto breakpoints at which two sets tie, and the
+    λ ≤ 2 at which the relaxed weights of two of the first ten elements
+    tie."""
+    lams = {F(0)}
+    real = lagrangian.relaxation_solve
+
+    def probe(inst, lam, *args, **kwargs):
+        lams.add(F(lam))
+        return real(inst, lam, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagrangian, "relaxation_solve", probe)
+        B.lagrangian_search(inst)
+    for a, b in itertools.combinations(inst.elements[:10], 2):
+        if a.cost != b.cost and 0 <= (a.profit - b.profit) / (a.cost - b.cost) <= 2:
+            lams.add((a.profit - b.profit) / (a.cost - b.cost))
+    return sorted(lams)
+
+
+def _nps_bi(seed, n, first):
+    """A BI instance shaped like the Lagrangian NPS's: the first matroid
+    uniform of rank n/2 or partition over n/2 random blocks of capacity
+    1, the second U(n/3), budget a tenth of the total cost."""
+    rng = random.Random(seed)
+    els = [B.Element(i, F(rng.randint(1, 20)), F(rng.randint(1, 20))) for i in range(n)]
+    if first == "uniform":
+        m1 = B.UniformMatroid(range(n), n // 2)
+    else:
+        m1 = random_partition(rng, range(n), n // 2, 1, 1)
+    m2 = B.UniformMatroid(range(n), n // 3)
+    total = sum(e.cost for e in els)
+    return B.BCInstance(els, B.MatroidIntersectionConstraint(m1, m2), total / 10)
+
+
+@pytest.mark.parametrize(
+    "seed,n,first", [(1, 40, "uniform"), (2, 52, "partition"), (3, 70, "uniform"),
+                     (4, 70, "partition")]
+)
+def test_label_search_matches_the_dict_search_at_nps_sizes(seed, n, first, monkeypatch):
+    inst = _nps_bi(seed, n, first)
+    c = inst.constraint
+    for lam in _probe_lams(inst):
+        w = relaxation_weights(inst, lam)
+        chain = _reference_chain(monkeypatch, c.m1, c.m2, w, search=dict_label_search)
+        assert B.mi_extreme_chain(c.m1, c.m2, w) == chain
+
+
+@pytest.mark.parametrize("kinds", [("graphic", "explicit"), ("explicit", "graphic"),
+                                   ("graphic", "uniform"), ("partition", "explicit")])
+def test_label_search_matches_the_dict_search_off_the_closed_forms(kinds, monkeypatch):
+    # graphic and explicit matroids answer addable and swap_classes
+    # through the base class's query loops
+    for seed in range(3):
+        for n in (6, 8, 10):
+            inst = B.random_bi(seed, n=n, kinds=kinds)
+            c = inst.constraint
+            for lam in _probe_lams(inst):
+                w = relaxation_weights(inst, lam)
+                chain = _reference_chain(
+                    monkeypatch, c.m1, c.m2, w, search=dict_label_search
+                )
+                assert B.mi_extreme_chain(c.m1, c.m2, w) == chain
 
 
 @pytest.mark.parametrize("n", [12, 20, 30])

@@ -186,6 +186,69 @@ def reference_best_augmenting_path(m1, m2, w, elems, smask):
     return best
 
 
+def dict_label_search(m1, m2, w, elems, smask):
+    """Reference for `oracles._best_augmenting_path`: the label search
+    as it stood before its lengths and labels moved into lists indexed
+    by element id, kept verbatim apart from this docstring.  Labels are
+    a dict, and each round lists the changed tails of every arc set
+    afresh."""
+    among = 0  # the elements in the set, which a swap can take out
+    outside = 0
+    for e in elems:
+        if smask >> e & 1:
+            among |= 1 << e
+        else:
+            outside |= 1 << e
+    sources = m1.addable(smask, outside)
+    sinks = m2.addable(smask, outside)
+    if not sources or not sinks:
+        return None
+    # heads[M]: the x whose first-matroid swaps are M; tails[M]: the x
+    # whose second-matroid swaps are M
+    heads = m1.swap_classes(smask, outside, among)
+    tails = m2.swap_classes(smask, outside, among)
+    # (tails mask, ascending heads) of each distinct arc set
+    arcs = [(t, _ids_of(h)) for t, h in heads.items() if t]
+    arcs += [(t, _ids_of(h)) for h, t in tails.items() if h]
+    length = {e: (w[e] if smask >> e & 1 else -w[e]) for e in elems}
+
+    label = {v: (length[v], 0, (v,)) for v in _ids_of(sources)}
+    changed = sources
+    for _ in elems:
+        touched = 0
+        for tmask, hs in arcs:
+            live = tmask & changed
+            if not live:
+                continue
+            base_len, hops, seq = min(label[u] for u in _ids_of(live))
+            hops += 1
+            for v in hs:
+                new_len = base_len + length[v]
+                cur = label.get(v)
+                if cur is not None and (
+                    new_len > cur[0]
+                    or new_len == cur[0]
+                    and (hops > cur[1] or hops == cur[1] and seq + (v,) >= cur[2])
+                ):
+                    continue
+                label[v] = (new_len, hops, seq + (v,))
+                touched |= 1 << v
+        if not touched:
+            break
+        changed = touched
+    return min((label[x] for x in _ids_of(sinks) if x in label), default=None)
+
+
+def _ids_of(mask):
+    """The ascending ids of a mask's set bits, lowest bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def reference_residual(inst, pinned, pool):
     """The residual of a solution F = pinned of inst over a ground pool,
     built as an instance of its own, as the library did before it solved

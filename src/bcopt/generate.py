@@ -95,9 +95,9 @@ def _check_common(
     cost_range: tuple[int, int],
     budget_fraction: Fraction,
 ) -> None:
-    # random.Random(None) would seed from the clock
-    if not _is_int(seed):
-        raise InputError(f"seed must be an int, got {seed!r}")
+    # random.Random(None) seeds from the clock; a bool seed reads as 0 or 1
+    if seed is None or isinstance(seed, bool):
+        raise InputError(f"bad seed {seed!r}")
     for lo, hi in (profit_range, cost_range):
         if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
             raise InputError(f"bad range ({lo!r}, {hi!r})")

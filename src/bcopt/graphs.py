@@ -16,7 +16,7 @@ from .errors import InputError
 def _is_int(x: object) -> bool:
     """True for an int that is not a bool: True and False are ints to
     Python but serialize as JSON booleans, which do not load back."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 class Graph:
@@ -39,10 +39,9 @@ class Graph:
         ends: dict[int, tuple[int, int]] = {}
         vmask: dict[int, int] = {}
         for eid, (u, v) in edges.items():
-            # the exact type test passes the common ids and ends unasked
-            if not (type(eid) is int or _is_int(eid)) or eid < 0:
+            if not _is_int(eid) or eid < 0:
                 raise InputError(f"bad edge id: {eid!r}")
-            if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
+            if not _is_int(u) or not _is_int(v):
                 raise InputError(f"edge {eid}: endpoints must be integers: {(u, v)!r}")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise InputError(f"edge {eid}: endpoint out of range: ({u}, {v})")

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, InputError, InvariantError
 from .graphs import connected_components_edges
-from .model import BCInstance, Solution, _rat, relaxation_weights
+from .model import BCInstance, Solution, _rat, relaxation_value, relaxation_weights
 from .oracles import exhaustive_search, max_weight_matching, mi_extreme_chain
 
 
@@ -121,9 +121,7 @@ def relaxation_solve(
         if nxt is not None:
             chosen.add(e)
             state = nxt
-    # every chosen id has a weight k·(p − λc), k = sp·sc·λ.den
-    k = inst._sp * inst._sc * lam.denominator
-    value = Fraction(sum([weights[e] for e in chosen]), k)
+    value = relaxation_value(inst, lam, weights, chosen)
     if with_chain:
         return frozenset(chosen), value, chain
     return frozenset(chosen), value

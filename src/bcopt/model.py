@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateAlpha, InputError
 from .graphs import Graph, _is_int
@@ -520,3 +520,10 @@ def relaxation_weights(
     cs = lam.numerator * inst._sp
     P, C = inst.int_profit, inst.int_cost
     return {e: P[e] * ps - C[e] * cs for e in (inst.ids if ids is None else ids)}
+
+
+def relaxation_value(
+    inst: BCInstance, lam: Fraction | int, weights: Mapping[int, int], ids: Iterable[int]
+) -> Fraction:
+    """p(S) − λ·c(S) for S = ids, from their `relaxation_weights` at λ."""
+    return Fraction(sum([weights[e] for e in ids]), inst._sp * inst._sc * lam.denominator)

@@ -238,11 +238,8 @@ def max_weight_matching(
             if cur is None or w > cur[0]:
                 rep[pair] = (w, e)
     reps = sorted(rep.items())
-    if {*map(type, weights.values())} <= {int}:
-        edges = [(u, v, w) for (u, v), (w, _) in reps]
-    else:
-        scale = math.lcm(*(w.denominator for _, (w, _) in reps))
-        edges = [(u, v, int(w * scale)) for (u, v), (w, _) in reps]
+    scale = math.lcm(*(w.denominator for _, (w, _) in reps))
+    edges = [(u, v, int(w * scale)) for (u, v), (w, _) in reps]
     pairs = blossom.max_weight_matching(graph.num_vertices, edges)
     return frozenset(rep[pair][1] for pair in pairs)
 
@@ -403,9 +400,7 @@ def _best_augmenting_path(
         if not touched:
             break
         changed = touched
-    return min(
-        (label[x] for x in _ids_of(sinks) if label[x] is not None), default=None
-    )
+    return min([label[x] for x in _ids_of(sinks) if label[x]], default=None)
 
 
 MAX_ENUM = 20

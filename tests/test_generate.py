@@ -108,6 +108,10 @@ def test_generator_validation():
     ):
         with pytest.raises(InputError):
             make()
+    # str and bytes seeds hash deterministically, so they still reproduce
+    for seed in ("a", b"a"):
+        assert blob(B.random_bm(seed)) == blob(B.random_bm(seed))
+        assert blob(B.random_bi(seed)) == blob(B.random_bi(seed))
     with pytest.raises(InputError):
         B.corpus_bm(-1)
     with pytest.raises(InputError):

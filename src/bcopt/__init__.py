@@ -9,14 +9,7 @@ inputs produce identical outputs, bit for bit.
 
 from .driver import EptasRun, approximate, eptas_run
 from .errors import CapacityError, DegenerateAlpha, InputError, InvariantError
-from .exchange import (
-    exset_matching,
-    exset_matroid_intersection,
-    extend_chain,
-    is_chain,
-    is_semi_shift,
-    is_shift,
-)
+from .exchange import exset_matching, exset_matroid_intersection
 from .generate import corpus_bi, corpus_bm, random_bi, random_bm
 from .graphs import Graph, greedy_matching
 from .lagrangian import (
@@ -115,15 +108,11 @@ __all__ = [
     "eptas_run",
     "exset_matching",
     "exset_matroid_intersection",
-    "extend_chain",
     "feasible",
     "format_rational",
     "greedy_matching",
     "instance_from_dict",
     "instance_to_dict",
-    "is_chain",
-    "is_semi_shift",
-    "is_shift",
     "iter_solutions",
     "lagrangian_search",
     "load_instance",

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .driver import eptas_run
+from .driver import _core_epsilon, eptas_run
 from .errors import CapacityError, DegenerateAlpha, InputError
 from .generate import corpus_bi, corpus_bm, random_bi, random_bm
 from .lagrangian import STRATEGIES, non_profitable_solve
@@ -180,9 +180,7 @@ def _emit(report: dict, path: str | None) -> None:
 
 def _solve_epsilon(raw: str) -> tuple[Fraction, Fraction]:
     eps = parse_rational(raw)
-    if not 0 < eps < 1:
-        raise InputError(f"epsilon must be in (0, 1), got {eps}")
-    return eps, eps / 8
+    return eps, _core_epsilon(eps)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -401,13 +399,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 max_edges=args.max_edges,
             )
         else:
-            kinds = tuple(args.kinds.split(","))
-            if len(kinds) != 2:
-                raise InputError("--kinds must name two matroid kinds")
             inst = random_bi(
                 seed=args.seed,
                 n=args.n,
-                kinds=kinds,  # type: ignore[arg-type]
+                kinds=tuple(args.kinds.split(",")),  # type: ignore[arg-type]
                 profit_range=(1, args.profit_max),
                 cost_range=(1, args.cost_max),
                 budget_fraction=parse_rational(args.budget_fraction),

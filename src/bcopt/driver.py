@@ -81,7 +81,7 @@ def eptas_run(
 
     walk = iter_solutions(
         inst, candidates=sorted(rep.union), max_size=cap,
-        cut=below if prune else None, with_state=True,
+        cut=below if prune else None,
     )
     for pinned, state, cost, profit in walk:
         enumerated += 1
@@ -106,6 +106,14 @@ def eptas_run(
     )
 
 
+def _core_epsilon(eps: Fraction | int) -> Fraction:
+    """The core scheme's ε for a (1−ε) guarantee: ε/8, for 0 < ε < 1."""
+    eps = _rat(eps)
+    if not 0 < eps < 1:
+        raise InputError(f"epsilon must be in (0, 1), got {eps}")
+    return eps / 8
+
+
 def approximate(
     inst: BCInstance,
     eps: Fraction,
@@ -117,10 +125,7 @@ def approximate(
 
     The run prunes its prefix walk (`eptas_run`'s prune): only the
     solution is returned, and the cut leaves it unchanged."""
-    eps = _rat(eps)
-    if not 0 < eps < 1:
-        raise InputError(f"epsilon must be in (0, 1), got {eps}")
     return eptas_run(
-        inst, eps / 8, strategy=strategy, alpha_mode=alpha_mode,
+        inst, _core_epsilon(eps), strategy=strategy, alpha_mode=alpha_mode,
         max_exhaustive=max_exhaustive, prune=True,
     ).solution

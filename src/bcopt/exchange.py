@@ -1,14 +1,11 @@
 """Exchange-set constructions per profit class: union-of-greedy-matchings
 for matching constraints, recursive basis chains for matroid
-intersection, plus the shift/semi-shift/chain predicates used to reason
-about them.
+intersection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
-
 from .errors import InputError, InvariantError
 from .graphs import greedy_matching
 from .matroids import _ids_of, min_cost_basis
@@ -68,44 +65,34 @@ def exset_matching(
     return frozenset(collected)
 
 
-def extend_chain(
+def exset_matroid_intersection(
     inst: BCInstance,
     eps: Fraction,
     alpha: Fraction,
     r: int,
-    chain: Iterable[int],
     classing: ProfitClassing | None = None,
-    memo: dict[frozenset[int], frozenset[int]] | None = None,
     trace: dict[int, int] | None = None,
-    basis_hook: Callable[[frozenset[int]], Iterable[int]] | None = None,
-    size_cutoff: int | None = None,
 ) -> frozenset[int]:
-    """Recursive chain extension for matroid-intersection classes.
+    """Exchange set for class r: the chain recursion from S = ∅.
 
     From the current first-matroid-independent set S: the universe U_S
     holds the class members that S can add in the first matroid
     (`addable`); B_S is the (cost, id) greedy basis of the second
     matroid over U_S, stopped at q_eff elements (`min_cost_basis` with
     among and limit); the result is B_S plus the recursion into S+b for
-    each b ∈ B_S.  Recursion stops at |S| ≥ q_eff + 1.  Equal chains are
-    expanded once (memoized); basis_hook and size_cutoff exist so tests
-    can pin recursion shapes directly.
+    each b ∈ B_S.  Recursion stops at |S| ≥ q_eff + 1.  Equal sets are
+    expanded once (memoized).  trace, when given, counts the expanded
+    nodes by |S|.
     """
     if inst.constraint.kind != "matroid_intersection":
-        raise InputError("extend_chain requires a matroid-intersection constraint")
+        raise InputError(
+            "exset_matroid_intersection requires a matroid-intersection constraint"
+        )
     params, classing, members = class_members(inst, eps, alpha, r, classing)
-    chain_set = frozenset(chain)
-    unknown = chain_set - inst.id_set
-    if unknown:
-        raise InputError(f"unknown element ids: {sorted(unknown)}")
     m1 = inst.constraint.m1
     m2 = inst.constraint.m2
-    if not m1.is_independent(chain_set):
-        raise InputError("chain must be independent in the first matroid")
-    cutoff = params.q_eff + 1 if size_cutoff is None else size_cutoff
-    if memo is None:
-        memo = {}
-
+    cutoff = params.q_eff + 1
+    memo: dict[frozenset[int], frozenset[int]] = {}
     member_mask = inst.mask_of(members)
 
     def rec(s: frozenset[int]) -> frozenset[int]:
@@ -118,10 +105,7 @@ def extend_chain(
             trace[len(s)] = trace.get(len(s), 0) + 1
         smask = inst.mask_of(s)
         universe = _ids_of(m1.addable(smask, member_mask & ~smask))
-        if basis_hook is not None:
-            basis = sorted(basis_hook(s))
-        else:
-            basis = sorted(min_cost_basis(m2, inst.int_cost, universe, params.q_eff))
+        basis = sorted(min_cost_basis(m2, inst.int_cost, universe, params.q_eff))
         out = set(basis)
         for b in basis:
             out |= rec(s | {b})
@@ -129,132 +113,4 @@ def extend_chain(
         memo[s] = result
         return result
 
-    return rec(chain_set)
-
-
-def exset_matroid_intersection(
-    inst: BCInstance,
-    eps: Fraction,
-    alpha: Fraction,
-    r: int,
-    classing: ProfitClassing | None = None,
-    trace: dict[int, int] | None = None,
-) -> frozenset[int]:
-    """Exchange set for class r: the full chain recursion from S = ∅."""
-    if inst.constraint.kind != "matroid_intersection":
-        raise InputError(
-            "exset_matroid_intersection requires a matroid-intersection constraint"
-        )
-    return extend_chain(
-        inst, eps, alpha, r, frozenset(), classing=classing, trace=trace
-    )
-
-
-def _validate_pair(
-    inst: BCInstance,
-    eps: Fraction,
-    alpha: Fraction,
-    r: int,
-    delta: Iterable[int],
-    a: int,
-    b: int | None,
-    classing: ProfitClassing | None,
-) -> tuple[SchemeParams, frozenset[int], set[int]]:
-    params, classing, members = class_members(inst, eps, alpha, r, classing)
-    member_set = set(members)
-    delta_set = frozenset(delta)
-    unknown = delta_set - inst.id_set
-    if unknown:
-        raise InputError(f"unknown element ids: {sorted(unknown)}")
-    if len(delta_set) > params.q_eff:
-        raise InputError(f"|Δ| = {len(delta_set)} exceeds q_eff = {params.q_eff}")
-    if not inst.constraint_ok(delta_set):
-        raise InputError("Δ violates the constraint")
-    if a not in delta_set or a not in member_set:
-        raise InputError("a must lie in Δ ∩ K_r")
-    if b is not None and (b in delta_set or b not in member_set):
-        raise InputError("b must lie in K_r \\ Δ")
-    return params, delta_set, member_set
-
-
-def is_shift(
-    inst: BCInstance,
-    eps: Fraction,
-    alpha: Fraction,
-    r: int,
-    delta: Iterable[int],
-    a: int,
-    b: int,
-    classing: ProfitClassing | None = None,
-) -> bool:
-    """b is a shift to a for Δ: no costlier, and the swap stays in
-    M_{≤q_eff}."""
-    _, delta_set, _ = _validate_pair(inst, eps, alpha, r, delta, a, b, classing)
-    if inst.int_cost[b] > inst.int_cost[a]:
-        return False
-    swapped = (delta_set - {a}) | {b}
-    return inst.constraint_ok(swapped)
-
-
-def is_semi_shift(
-    inst: BCInstance,
-    eps: Fraction,
-    alpha: Fraction,
-    r: int,
-    delta: Iterable[int],
-    a: int,
-    b: int,
-    classing: ProfitClassing | None = None,
-) -> bool:
-    """b is a semi-shift to a for Δ: no costlier, the swap stays
-    independent in the second matroid but leaves the first."""
-    if inst.constraint.kind != "matroid_intersection":
-        raise InputError("semi-shifts are defined for matroid intersection only")
-    _, delta_set, _ = _validate_pair(inst, eps, alpha, r, delta, a, b, classing)
-    if inst.int_cost[b] > inst.int_cost[a]:
-        return False
-    swapped = (delta_set - {a}) | {b}
-    m = inst.mask_of(swapped)
-    c = inst.constraint
-    return c.m2.independent_mask(m) and not c.m1.independent_mask(m)
-
-
-def is_chain(
-    inst: BCInstance,
-    eps: Fraction,
-    alpha: Fraction,
-    r: int,
-    chain: Iterable[int],
-    a: int,
-    delta: Iterable[int],
-    classing: ProfitClassing | None = None,
-) -> bool:
-    """S is a chain of a and Δ: a is addable to S under the first
-    matroid and within the class, and every member of S is a semi-shift
-    to a for Δ.  The empty set is a chain of every valid pair."""
-    if inst.constraint.kind != "matroid_intersection":
-        raise InputError("chains are defined for matroid intersection only")
-    params, delta_set, member_set = _validate_pair(
-        inst, eps, alpha, r, delta, a, None, classing
-    )
-    chain_set = frozenset(chain)
-    unknown = chain_set - inst.id_set
-    if unknown:
-        raise InputError(f"unknown element ids: {sorted(unknown)}")
-    c = inst.constraint
-    if not c.m1.is_independent(chain_set):
-        raise InputError("chain must be independent in the first matroid")
-    # a ∈ U_S
-    if a in chain_set or a not in member_set:
-        return False
-    if not c.m1.is_independent(chain_set | {a}):
-        return False
-    for e in chain_set:
-        if e in delta_set or e not in member_set:
-            return False
-        if inst.int_cost[e] > inst.int_cost[a]:
-            return False
-        m = inst.mask_of((delta_set - {a}) | {e})
-        if not c.m2.independent_mask(m) or c.m1.independent_mask(m):
-            return False
-    return True
+    return rec(frozenset())

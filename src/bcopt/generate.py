@@ -47,8 +47,11 @@ def random_bm(
     once the quota is full.  Budget = budget_fraction × total cost.
     """
     _check_common(seed, profit_range, cost_range, budget_fraction)
-    if not _is_int(n_vertices) or n_vertices < 0 or not 0 <= edge_prob <= 1:
-        raise InputError("bad generator parameters")
+    if not _is_int(n_vertices) or n_vertices < 0:
+        raise InputError(f"n_vertices must be an int ≥ 0, got {n_vertices!r}")
+    # floats pass too: the draw below reads the probability as a float
+    if type(edge_prob) not in (int, float, Fraction) or not 0 <= edge_prob <= 1:
+        raise InputError(f"edge_prob must be a number in [0, 1], got {edge_prob!r}")
     if max_edges is not None and (not _is_int(max_edges) or max_edges < 1):
         raise InputError(f"max_edges must be at least 1, got {max_edges!r}")
     rng = random.Random(seed)
@@ -77,6 +80,8 @@ def random_bi(
     _check_common(seed, profit_range, cost_range, budget_fraction)
     if not _is_int(n) or n < 1:
         raise InputError(f"n must be an int ≥ 1, got {n!r}")
+    if len(kinds) != 2:
+        raise InputError(f"kinds must name two matroid kinds, got {kinds!r}")
     for kind in kinds:
         if kind not in BI_KINDS:
             raise InputError(f"unknown matroid kind {kind!r}")

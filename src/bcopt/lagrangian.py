@@ -90,15 +90,14 @@ def relaxation_solve(
     inst: BCInstance,
     lam: Fraction | int,
     scope: Scope | None = None,
-    with_chain: bool = False,
-) -> tuple:
+) -> tuple[frozenset[int], Fraction, tuple[frozenset[int], ...] | None]:
     """Maximize p(S) − λ·c(S) over the scope's residual (budget ignored).
 
     Zero-cost elements are force-included afterwards in descending
     (profit, then id) order whenever the constraint permits; they never
-    lower the objective.  Returns (S, value); with with_chain, (S,
-    value, chain), chain being the `mi_extreme_chain` behind S for an
-    intersection constraint and None for a matching.
+    lower the objective.  Returns (S, value, chain), chain being the
+    `mi_extreme_chain` behind S for an intersection constraint and None
+    for a matching.
     """
     lam = _rat(lam)
     if lam < 0:
@@ -122,9 +121,7 @@ def relaxation_solve(
             chosen.add(e)
             state = nxt
     value = relaxation_value(inst, lam, weights, chosen)
-    if with_chain:
-        return frozenset(chosen), value, chain
-    return frozenset(chosen), value
+    return frozenset(chosen), value, chain
 
 
 MAX_PROBES = 64
@@ -151,7 +148,7 @@ def lagrangian_search(
     def probe(lam: Fraction) -> tuple[frozenset[int], Fraction, int]:
         nonlocal probes
         probes += 1
-        s, value, chains[lam] = relaxation_solve(inst, lam, scope, with_chain=True)
+        s, value, chains[lam] = relaxation_solve(inst, lam, scope)
         return s, value, sum(C[e] for e in s)
 
     zero = Fraction(0)

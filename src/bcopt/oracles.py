@@ -164,17 +164,16 @@ def iter_solutions(
     candidates: Sequence[int] | None = None,
     max_size: int | None = None,
     cut: Callable[[int, int, int], bool] | None = None,
-    with_state: bool = False,
 ) -> Iterator[tuple]:
     """Yield every feasible-and-within-budget subset of the candidate
     ids (default: all elements), in ascending lexicographic order,
-    starting with ().  Hereditary pruning keeps the walk proportional to
-    the number of feasible sets.  The candidates are a set: an unknown or
-    repeated id raises InputError.
+    starting with the empty set.  Hereditary pruning keeps the walk
+    proportional to the number of feasible sets.  The candidates are a
+    set: an unknown or repeated id raises InputError.
 
-    With with_state, each item is (ids, state, cost, profit): the set's
-    walk state (`constraint.state_of` of it) and its integer cost and
-    profit, which the walk carries anyway, so a caller need not
+    Each item is (ids, state, cost, profit): the set's sorted id tuple,
+    its walk state (`constraint.state_of` of it) and its integer cost
+    and profit, which the walk carries anyway, so a caller need not
     recompute them.
 
     cut(state, cost, profit), when given, is asked once for each yielded
@@ -208,9 +207,7 @@ def iter_solutions(
 
     root = (constraint.state_of(()), 0, 0, 0)
     walk = _walk(pool, extend, root, max_size, None if cut is None else bound)
-    if with_state:
-        return ((tuple(prefix), s, c, p) for prefix, (s, c, p, _) in walk)
-    return (tuple(prefix) for prefix, _ in walk)
+    return ((tuple(prefix), s, c, p) for prefix, (s, c, p, _) in walk)
 
 
 def max_weight_matching(
@@ -554,7 +551,7 @@ def check_representative(
     need = math.ceil((1 - 4 * eps) * sum(inst.int_profit[e] for e in opt.ids))
     best, best_ids = 0, ()
     ok = False
-    for prefix, _, _, p in iter_solutions(inst, candidates=allowed, with_state=True):
+    for prefix, _, _, p in iter_solutions(inst, candidates=allowed):
         if p > best:
             best, best_ids = p, prefix
         if p >= need:

@@ -76,7 +76,7 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
         need = -best[0] - profit
         return bound(state, pool, P, C, inst.int_budget - cost, need) < need
 
-    walk = iter_solutions(inst, max_size=4, cut=below, with_state=True)
+    walk = iter_solutions(inst, max_size=4, cut=below)
     for pinned, state, cost, profit in walk:
         pool = inst.ids
         if pinned:

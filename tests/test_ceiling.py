@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import bcopt as B
 from bcopt.lagrangian import residual_tail
 from bcopt.oracles import _walk, exhaustive_search
-from util import bi_pairs
+from util import bi_pairs, walk_ids
 
 # not `import bcopt.repset`: the package's `repset` function shadows
 # the module as an attribute
@@ -96,7 +96,7 @@ def unpruned_two_approx(inst):
     residual."""
     P = inst.int_profit
     best = None
-    for f in B.iter_solutions(inst, max_size=4):
+    for f in walk_ids(inst, max_size=4):
         pool = [e for e in inst.ids if not f or P[e] <= min(P[x] for x in f)]
         key = R.checked_key(inst, f, residual_tail(inst, f, pool))
         best = key if best is None else min(best, key)
@@ -108,8 +108,8 @@ def unskipped_eptas(inst, eps):
     prefix's residual."""
     rep = B.repset(inst, eps)
     low = B.low_profit_ids(inst, eps, rep.alpha)
-    walk = list(B.iter_solutions(inst, candidates=sorted(rep.union),
-                                 max_size=int(1 / eps)))
+    walk = list(walk_ids(inst, candidates=sorted(rep.union),
+                         max_size=int(1 / eps)))
     best = (0, ())
     for f in walk:
         best = min(best, R.checked_key(inst, f, residual_tail(inst, f, low)))
@@ -163,7 +163,7 @@ def test_iter_solutions_cut(name, inst):
     drops its children and the walk goes on with the next set."""
     c = inst.constraint
     P, C = inst.int_profit, inst.int_cost
-    walk = list(B.iter_solutions(inst, max_size=3))
+    walk = list(walk_ids(inst, max_size=3))
     asked = []
     out = []
 
@@ -174,14 +174,14 @@ def test_iter_solutions_cut(name, inst):
             c.state_of(f), sum(C[e] for e in f), sum(P[e] for e in f))
         return len(f) == 1 and f[0] % 2 == 0
 
-    for f in B.iter_solutions(inst, max_size=3, cut=cut):
+    for f in walk_ids(inst, max_size=3, cut=cut):
         out.append(f)
     assert out == [f for f in walk if not (len(f) > 1 and f[0] % 2 == 0)]
     # a set below the size limit with a later id in the pool may have
     # children: the walk asks before it tries them
     last = inst.ids[-1]
     assert asked == [f for f in out if len(f) < 3 and (not f or f[-1] < last)]
-    assert list(B.iter_solutions(inst, cut=lambda *a: True)) == [()]
+    assert list(walk_ids(inst, cut=lambda *a: True)) == [()]
 
 
 SCALE = [
@@ -205,7 +205,7 @@ def test_both_loops_skip_solves(name, make, monkeypatch):
     residuals than its walk has prefixes, and `enumerated` still counts
     every prefix."""
     inst = make()
-    walk = list(B.iter_solutions(inst, max_size=4))
+    walk = list(walk_ids(inst, max_size=4))
     solved = counting_tails(monkeypatch, R)
     visited = []
     walker = R.iter_solutions
@@ -221,7 +221,7 @@ def test_both_loops_skip_solves(name, make, monkeypatch):
 
     eps = Fraction(1, 16)
     rep = B.repset(inst, eps)
-    prefixes = list(B.iter_solutions(inst, candidates=sorted(rep.union), max_size=16))
+    prefixes = list(walk_ids(inst, candidates=sorted(rep.union), max_size=16))
     solved = counting_tails(monkeypatch, D)
     run = B.eptas_run(inst, eps)
     assert run.enumerated == len(prefixes)

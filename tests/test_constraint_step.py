@@ -11,7 +11,7 @@ import random
 import pytest
 
 import bcopt as B
-from util import bi_pairs, reference_residual
+from util import bi_pairs, reference_residual, walk_ids
 
 # not `import bcopt.repset`: the package's `repset` function shadows
 # the module as an attribute
@@ -66,7 +66,7 @@ def test_extend_agrees_with_feasible_mask(name, inst):
 
 def pinned_sets(inst):
     """Every feasible set of up to 3 elements, thinned to at most 60."""
-    sols = list(B.iter_solutions(inst, max_size=3))
+    sols = list(walk_ids(inst, max_size=3))
     return sols[:: max(1, len(sols) // 60)]
 
 
@@ -97,7 +97,7 @@ def reference_two_approx(inst, solve):
     included, went through `residual_tail`."""
     best = None
     P = inst.int_profit
-    for pinned in B.iter_solutions(inst, max_size=4):
+    for pinned in walk_ids(inst, max_size=4):
         if pinned:
             t = min(P[e] for e in pinned)
             sub = reference_residual(inst, pinned, [e for e in inst.ids if P[e] <= t])
@@ -130,7 +130,7 @@ def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypat
     assert pins[0] == ()
     # the solved prefixes come in walk order, and a prefix left out cannot
     # beat α: p(F) plus the bound over its threshold pool is below it
-    walk = list(B.iter_solutions(copy, max_size=4))
+    walk = list(walk_ids(copy, max_size=4))
     it = iter(walk)
     assert all(f in it for f in pins)
     P, C = copy.int_profit, copy.int_cost

@@ -14,7 +14,7 @@ import bcopt as B
 from bcopt.errors import InputError
 from bcopt.lagrangian import residual_tail
 
-from util import opt_profit
+from util import opt_profit, walk_ids
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -54,7 +54,7 @@ def test_eptas_run_star_pair(fig1):
 def test_eptas_run_collect(fig1):
     """The tail `eptas_run` asks `residual_tail` for at each prefix."""
     run = B.eptas_run(fig1, HALF)
-    prefixes = list(B.iter_solutions(fig1, candidates=sorted(run.rep.union), max_size=2))
+    prefixes = list(walk_ids(fig1, candidates=sorted(run.rep.union), max_size=2))
     assert prefixes == [(), (0,), (1,)]
     low = B.low_profit_ids(fig1, HALF, run.alpha)
     for pinned, want in (((0,), (2,)), ((1,), (3,))):

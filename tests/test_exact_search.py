@@ -14,7 +14,7 @@ import pytest
 
 import bcopt as B
 from bcopt.oracles import exhaustive_search
-from util import bi_pairs, combination_search, reference_exhaustive_search
+from util import bi_pairs, combination_search, reference_exhaustive_search, walk_ids
 
 FRACS = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))
 
@@ -37,7 +37,7 @@ def table_instance(seed, n):
 def pinned_sets(inst, seed):
     """(), and two feasible sets of one and two elements."""
     rng = random.Random(seed)
-    walk = list(B.iter_solutions(inst, max_size=2))
+    walk = list(walk_ids(inst, max_size=2))
     ones = [f for f in walk if len(f) == 1]
     twos = [f for f in walk if len(f) == 2]
     return [()] + [rng.choice(fs) for fs in (ones, twos) if fs]

@@ -1,5 +1,5 @@
-"""Exchange sets per profit class and the shift/semi-shift/chain
-predicates they are built from.
+"""Exchange sets per profit class: greedy matching layers for BM and
+the chain recursion for BI.
 """
 
 from fractions import Fraction
@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import bcopt as B
+from bcopt import exchange
 from bcopt.errors import InputError
 
 HALF = Fraction(1, 2)
@@ -14,8 +15,8 @@ HALF = Fraction(1, 2)
 
 def chain_instance():
     # Six unit-cost elements, free on both sides, all landing in class 2
-    # at eps=1/2 and alpha=10.  Used to drive extend_chain through
-    # basis_hook without min_cost_basis interfering.
+    # at eps=1/2 and alpha=10.  Used to drive the chain recursion
+    # through a pinned basis table (see pinned_bases).
     free = B.UniformMatroid(range(6), 6)
     elements = [B.Element(i, Fraction(10), Fraction(1)) for i in range(6)]
     return B.BCInstance(
@@ -75,7 +76,23 @@ def test_exset_class_index_range(fig1):
 # ------------------------------------------------------------ chain trees
 
 
-def test_extend_chain_hooked_tree():
+def pinned_bases(monkeypatch, bases, calls=None):
+    """Replace the recursion's second-matroid basis with a table from
+    the current set S (recovered from the universe's complement) to
+    its basis; sets missing from the table get an empty basis."""
+    inst = chain_instance()
+
+    def fake(matroid, cost, among, limit):
+        s = frozenset(inst.id_set - set(among))
+        if calls is not None:
+            calls.append(s)
+        return frozenset(bases.get(s, ()))
+
+    monkeypatch.setattr(exchange, "min_cost_basis", fake)
+    return inst
+
+
+def test_extend_chain_hooked_tree(monkeypatch):
     # Branch structure under a pinned basis oracle:
     #
     #                 {}           basis {0, 1}
@@ -86,90 +103,44 @@ def test_extend_chain_hooked_tree():
     #
     # with empty bases at depth 2.  One expansion at the root, two at
     # depth 1, four at depth 2.
-    inst = chain_instance()
-    bases = {
+    inst = pinned_bases(monkeypatch, {
         frozenset(): (0, 1),
         frozenset({0}): (2, 3),
         frozenset({1}): (4, 5),
-    }
+    })
     trace: dict[int, int] = {}
-    got = B.extend_chain(
-        inst,
-        HALF,
-        Fraction(10),
-        2,
-        frozenset(),
-        trace=trace,
-        basis_hook=lambda s: bases.get(s, ()),
-    )
+    got = B.exset_matroid_intersection(inst, HALF, Fraction(10), 2, trace=trace)
     assert got == frozenset(range(6))
     assert trace == {0: 1, 1: 2, 2: 4}
 
 
-def test_extend_chain_memo_collapses_equal_branches():
+def test_extend_chain_memo_collapses_equal_branches(monkeypatch):
     # {0} recurses into {0,1} and {1} into {1,0}: the same set, so the
     # second arrival is a memo hit and depth 2 is expanded once.
-    inst = chain_instance()
-    bases = {
+    inst = pinned_bases(monkeypatch, {
         frozenset(): (0, 1),
         frozenset({0}): (1,),
         frozenset({1}): (0,),
-    }
+    })
     trace: dict[int, int] = {}
-    got = B.extend_chain(
-        inst,
-        HALF,
-        Fraction(10),
-        2,
-        frozenset(),
-        trace=trace,
-        basis_hook=lambda s: bases.get(s, ()),
-    )
+    got = B.exset_matroid_intersection(inst, HALF, Fraction(10), 2, trace=trace)
     assert got == frozenset({0, 1})
     assert trace == {0: 1, 1: 2, 2: 1}
 
 
-def test_extend_chain_shared_memo_short_circuits():
-    inst = chain_instance()
-    bases = {
-        frozenset(): (0, 1),
-        frozenset({0}): (2, 3),
-        frozenset({1}): (4, 5),
-    }
-    memo: dict = {}
-    first = B.extend_chain(
-        inst, HALF, Fraction(10), 2, frozenset(),
-        memo=memo, basis_hook=lambda s: bases.get(s, ()),
-    )
-    assert memo
-    rerun_trace: dict[int, int] = {}
-    second = B.extend_chain(
-        inst, HALF, Fraction(10), 2, frozenset(),
-        memo=memo, trace=rerun_trace, basis_hook=lambda s: bases.get(s, ()),
-    )
-    assert second == first
-    assert rerun_trace == {}
-
-
-def test_extend_chain_size_cutoff():
-    inst = chain_instance()
+def test_extend_chain_size_cutoff(monkeypatch):
+    # At eps=1/2, q_eff = 4: a basis that always offers the next id
+    # grows one path until |S| = q_eff + 1 = 5, which is not expanded.
+    assert B.scheme_params(chain_instance(), HALF).q_eff == 4
     calls: list[frozenset[int]] = []
-
-    def hook(s):
-        calls.append(s)
-        return (0, 1) if not s else ()
-
-    got = B.extend_chain(
-        inst, HALF, Fraction(10), 2, frozenset(),
-        basis_hook=hook, size_cutoff=1,
+    inst = pinned_bases(
+        monkeypatch, {frozenset(range(k)): (k,) for k in range(6)}, calls
     )
-    assert got == frozenset({0, 1})
-    assert calls == [frozenset()]
-
-    assert B.extend_chain(
-        inst, HALF, Fraction(10), 2, frozenset(),
-        basis_hook=hook, size_cutoff=0,
-    ) == frozenset()
+    trace: dict[int, int] = {}
+    got = B.exset_matroid_intersection(inst, HALF, Fraction(10), 2, trace=trace)
+    assert got == frozenset(range(5))
+    assert calls == [frozenset(range(k)) for k in range(5)]
+    assert trace == {k: 1 for k in range(5)}
 
 
 def test_extend_chain_real_recursion(fig2):
@@ -180,80 +151,8 @@ def test_extend_chain_real_recursion(fig2):
     got = B.exset_matroid_intersection(fig2, HALF, Fraction(8), 2, trace=trace)
     assert got == frozenset({0, 1, 2, 3})
     assert trace == {0: 1, 1: 2, 2: 4}
-    direct = B.extend_chain(fig2, HALF, Fraction(8), 2, frozenset())
-    assert direct == got
 
 
-def test_extend_chain_from_nonempty_chain(fig2):
-    got = B.extend_chain(fig2, HALF, Fraction(8), 2, [0])
-    assert got == frozenset({2, 3})
-
-
-def test_extend_chain_validation(fig1, fig2):
-    with pytest.raises(InputError):
-        B.extend_chain(fig1, HALF, Fraction(11), 2, frozenset())
+def test_extend_chain_validation(fig1):
     with pytest.raises(InputError):
         B.exset_matroid_intersection(fig1, HALF, Fraction(11), 2)
-    with pytest.raises(InputError):
-        B.extend_chain(fig2, HALF, Fraction(8), 2, [0, 1])   # m1-dependent
-    with pytest.raises(InputError):
-        B.extend_chain(fig2, HALF, Fraction(8), 2, [99])
-
-
-# -------------------------------------------------------------- predicates
-
-
-def test_is_shift_examples(fig2):
-    # Swapping 1 for the cheaper 0 keeps one element per block.
-    assert B.is_shift(fig2, HALF, Fraction(8), 2, [1, 2], 1, 0)
-    # 3 costs more than 2.
-    assert not B.is_shift(fig2, HALF, Fraction(8), 2, [1, 2], 2, 3)
-    # Swapping 2 for 0 collapses both picks into one block.
-    assert not B.is_shift(fig2, HALF, Fraction(8), 2, [1, 2], 2, 0)
-
-
-def test_is_shift_on_matching(fig1):
-    assert B.is_shift(fig1, HALF, Fraction(11), 2, [0], 0, 1)
-
-
-def test_is_semi_shift_examples(fig2):
-    # The swap that is_shift rejects is exactly a semi-shift: still
-    # independent in the uniform side, dependent in the partition side.
-    assert B.is_semi_shift(fig2, HALF, Fraction(8), 2, [1, 2], 2, 0)
-    assert not B.is_semi_shift(fig2, HALF, Fraction(8), 2, [1, 2], 1, 0)
-    assert not B.is_semi_shift(fig2, HALF, Fraction(8), 2, [1, 2], 2, 3)
-
-
-def test_is_semi_shift_requires_intersection(fig1):
-    with pytest.raises(InputError):
-        B.is_semi_shift(fig1, HALF, Fraction(11), 2, [0], 0, 1)
-
-
-def test_is_chain_examples(fig2):
-    args = (fig2, HALF, Fraction(8), 2)
-    # The empty set is a chain of every valid pair.
-    assert B.is_chain(*args, [], 2, [1, 2])
-    # 0 is a semi-shift to 2 for {1, 2} and 2 is addable to {0}.
-    assert B.is_chain(*args, [0], 2, [1, 2])
-    assert not B.is_chain(*args, [2], 2, [2])        # a inside the chain
-    assert not B.is_chain(*args, [0], 1, [1, 2])     # {0, 1} leaves m1
-    assert not B.is_chain(*args, [1], 2, [1, 2])     # chain member in delta
-
-
-def test_is_chain_requires_intersection(fig1):
-    with pytest.raises(InputError):
-        B.is_chain(fig1, HALF, Fraction(11), 2, [], 0, [0])
-
-
-def test_predicate_validation(fig2):
-    args = (fig2, HALF, Fraction(8), 2)
-    with pytest.raises(InputError):
-        B.is_shift(*args, [0, 1], 0, 2)      # delta violates the constraint
-    with pytest.raises(InputError):
-        B.is_shift(*args, [1, 2], 0, 3)      # a outside delta
-    with pytest.raises(InputError):
-        B.is_shift(*args, [1, 2], 1, 2)      # b inside delta
-    with pytest.raises(InputError):
-        B.is_shift(*args, [1, 99], 1, 0)     # unknown id
-    with pytest.raises(InputError):
-        B.is_chain(*args, [99], 2, [1, 2])

@@ -93,6 +93,16 @@ def test_generator_validation():
         B.random_bi(1, n=0)
     with pytest.raises(InputError):
         B.random_bi(1, kinds=("uniform", "moebius"))
+    # named errors for what used to fail bare or pass silently: a
+    # non-numeric edge_prob (TypeError), a one-kind tuple (IndexError)
+    # and a three-kind tuple (third kind dropped)
+    for make, arg in (
+        (lambda: B.random_bm(1, edge_prob="x"), "edge_prob"),
+        (lambda: B.random_bi(1, kinds=("uniform",)), "kinds"),
+        (lambda: B.random_bi(1, kinds=("uniform", "partition", "graphic")), "kinds"),
+    ):
+        with pytest.raises(InputError, match=arg):
+            make()
     # a None seed draws from the clock, a bool is read as 0 or 1, and a
     # float vertex count raised a bare TypeError
     for make in (

@@ -49,11 +49,20 @@ def test_relaxation_solve_matches_brute():
     inst = path_instance()
     for lam in (F(0), F(1, 4), F(1), F(2), F(7)):
         want = relaxation_value_brute(inst, lam)
-        got_set, got_value = B.relaxation_solve(inst, lam)
+        got_set, got_value, chain = B.relaxation_solve(inst, lam)
         assert got_value == want
         assert inst.constraint_ok(got_set)
+        assert chain is None  # a matching has no chain
     with pytest.raises(InputError):
         B.relaxation_solve(inst, F(-1))
+
+
+def test_relaxation_solve_returns_the_chain_behind_s(fig2):
+    # on an intersection S is the chain's last set, before zero-cost
+    # elements (fig2 has none) are added
+    for lam in (F(0), F(1, 2), F(3)):
+        s, _, chain = B.relaxation_solve(fig2, lam)
+        assert chain[-1] == s
 
 
 def test_relaxation_solve_rejects_inexact_lambda(fig1):
@@ -81,7 +90,7 @@ def test_relaxation_force_includes_zero_cost():
     g = B.Graph(4, {0: (0, 1), 1: (2, 3)})
     els = [B.Element(0, F(5), F(0)), B.Element(1, F(3), F(2))]
     inst = B.BCInstance(els, B.MatchingConstraint(g), F(0))
-    s, _ = B.relaxation_solve(inst, F(100))
+    s, _, _ = B.relaxation_solve(inst, F(100))
     assert 0 in s
     sol = B.non_profitable_solve(inst, strategy="lagrangian")
     assert sol.ids == (0,) and sol.profit == F(5)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import bcopt as B
 from bcopt.errors import DegenerateAlpha, InputError, InvariantError
 from bcopt.repset import checked_key
+from util import walk_ids
 
 STRATEGIES = ("auto", "exhaustive", "lagrangian")
 
@@ -237,7 +238,7 @@ def test_residual_solutions_lift(fig1, fig2):
     for inst in (fig1, fig2):
         c = inst.constraint
         C = inst.int_cost
-        for pin in B.iter_solutions(inst):
+        for pin in walk_ids(inst):
             state = c.state_of(pin)
             budget = inst.int_budget - sum(C[e] for e in pin)
             kept = c.survivors(state, inst.ids)

@@ -21,7 +21,7 @@ from bcopt.graphs import Graph
 from bcopt.lagrangian import residual_tail
 from bcopt.matroids import Matroid
 from bcopt.model import BCInstance
-from util import bi_pairs, reference_residual
+from util import bi_pairs, reference_residual, walk_ids
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
 
@@ -75,14 +75,14 @@ def cases(inst):
     small prefixes over the whole ground set."""
     rep = B.repset(inst, EPS)
     low = B.low_profit_ids(inst, EPS, rep.alpha)
-    walk = B.iter_solutions(inst, candidates=sorted(rep.union), max_size=16)
+    walk = walk_ids(inst, candidates=sorted(rep.union), max_size=16)
     out = [(f, low) for f in every(walk, 17)]
     P = inst.int_profit
-    for f in every(B.iter_solutions(inst, max_size=4), 23):
+    for f in every(walk_ids(inst, max_size=4), 23):
         if f:
             t = min(P[e] for e in f)
             out.append((f, [e for e in inst.ids if P[e] <= t]))
-    out += [(f, inst.ids) for f in B.iter_solutions(inst, max_size=1)]
+    out += [(f, inst.ids) for f in walk_ids(inst, max_size=1)]
     return out
 
 
@@ -150,7 +150,7 @@ def test_lagrangian_tail_with_zero_cost_elements(name, inst):
     c = inst.constraint
     C = inst.int_cost
     dependent_zero = 0
-    for pinned in list(B.iter_solutions(inst, max_size=2))[1::3]:
+    for pinned in list(walk_ids(inst, max_size=2))[1::3]:
         state = c.state_of(pinned)
         pool = [e for e in inst.ids if e not in pinned]
         dependent_zero += any(C[e] == 0 and c.extend(state, e) is None for e in pool)
@@ -166,7 +166,7 @@ def reference_eptas(inst, strategy, max_exhaustive, eps=EPS):
     best = B.Solution.of(inst, ())
     fallbacks = 0
     records = []
-    for pinned in B.iter_solutions(inst, candidates=sorted(rep.union), max_size=16):
+    for pinned in walk_ids(inst, candidates=sorted(rep.union), max_size=16):
         sub = reference_residual(inst, pinned, low)
         try:
             tail = B.non_profitable_solve(sub, strategy, max_exhaustive)
@@ -205,7 +205,7 @@ def test_eptas_run_matches_reference(strategy, cap):
 def reference_two_approx(inst):
     best = None
     P = inst.int_profit
-    for pinned in B.iter_solutions(inst, max_size=4):
+    for pinned in walk_ids(inst, max_size=4):
         if pinned:
             t = min(P[e] for e in pinned)
             sub = reference_residual(inst, pinned, [e for e in inst.ids if P[e] <= t])
@@ -296,8 +296,8 @@ def residual_builds(monkeypatch, strategy, eps):
         inst = B.load_instance(str(CORPUS / name))
         rep = B.repset(inst, eps)
         low = B.low_profit_ids(inst, eps, rep.alpha)
-        prefixes = list(B.iter_solutions(inst, candidates=sorted(rep.union),
-                                         max_size=int(1 / eps)))
+        prefixes = list(walk_ids(inst, candidates=sorted(rep.union),
+                                 max_size=int(1 / eps)))
         with monkeypatch.context() as m:
             m.setattr(D, "repset", lambda *a, **k: rep)
             counts = counting_builds(m)

@@ -1,8 +1,8 @@
 """What the scheme's integer loops read instead of recomputing:
-`iter_solutions(with_state=True)` hands over each set's walk state,
-integer cost and integer profit, `profit_classes` bisects integer band
-edges, and `check_representative` reads the walk's integer profit.
-Each is checked against the definition it replaced."""
+each item of `iter_solutions` hands over its set's walk state, integer
+cost and integer profit next to its ids, `profit_classes` bisects
+integer band edges, and `check_representative` reads the walk's integer
+profit.  Each is checked against the definition it replaced."""
 
 import pathlib
 import random
@@ -59,10 +59,7 @@ def test_walk_hands_over_state_cost_and_profit(name, make):
         {"candidates": odd},
         {"candidates": odd, "cut": seeded_cut(2)},
     ):
-        plain = list(B.iter_solutions(inst, **kwargs))
-        items = list(B.iter_solutions(inst, with_state=True, **kwargs))
-        assert [item[0] for item in items] == plain
-        for f, state, cost, profit in items:
+        for f, state, cost, profit in B.iter_solutions(inst, **kwargs):
             assert (state, cost, profit) == definition(inst, f), f
 
 
@@ -71,8 +68,7 @@ def test_cut_reads_the_handed_over_values(fig1):
     hands over for the set."""
     asked = []
     items = []
-    for item in B.iter_solutions(fig1, with_state=True,
-                                 cut=lambda *a: asked.append(a) or False):
+    for item in B.iter_solutions(fig1, cut=lambda *a: asked.append(a) or False):
         items.append(item)
     assert set(asked) <= {item[1:] for item in items}
     assert len(asked) >= 1
@@ -124,7 +120,7 @@ def reference_check(inst, eps, rep):
     heavy = {e.id for e in inst.elements if e.profit > eps * opt.profit}
     allowed = sorted((inst.id_set - heavy) | (set(rep) & heavy))
     best = F(0)
-    for prefix in B.iter_solutions(inst, candidates=allowed):
+    for prefix, *_ in B.iter_solutions(inst, candidates=allowed):
         p = inst.profit_of(prefix)
         best = max(best, p)
         if p >= target:

@@ -1,5 +1,7 @@
 """Shared brute-force helpers; deliberately independent of the library's
-own search code so they can serve as oracles for it."""
+own search code so they can serve as oracles for it.  The one exception
+is `walk_ids`, a view of `iter_solutions` for tests that need only the
+id tuples of its walk."""
 
 import itertools
 import random
@@ -7,6 +9,11 @@ from fractions import Fraction
 
 import bcopt as B
 from bcopt.errors import InputError
+
+
+def walk_ids(inst, **kwargs):
+    """The id tuples of `iter_solutions`' items, as lazily as the walk."""
+    return (item[0] for item in B.iter_solutions(inst, **kwargs))
 
 
 def bi_pairs(seed, n):

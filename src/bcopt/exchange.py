@@ -6,6 +6,7 @@ intersection.
 from __future__ import annotations
 
 from fractions import Fraction
+
 from .errors import InputError, InvariantError
 from .graphs import greedy_matching
 from .matroids import _ids_of, min_cost_basis

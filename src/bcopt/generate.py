@@ -80,7 +80,7 @@ def random_bi(
     _check_common(seed, profit_range, cost_range, budget_fraction)
     if not _is_int(n) or n < 1:
         raise InputError(f"n must be an int ≥ 1, got {n!r}")
-    if len(kinds) != 2:
+    if not isinstance(kinds, (tuple, list)) or len(kinds) != 2:
         raise InputError(f"kinds must name two matroid kinds, got {kinds!r}")
     for kind in kinds:
         if kind not in BI_KINDS:
@@ -103,9 +103,10 @@ def _check_common(
     # random.Random(None) seeds from the clock; a bool seed reads as 0 or 1
     if seed is None or isinstance(seed, bool):
         raise InputError(f"bad seed {seed!r}")
-    for lo, hi in (profit_range, cost_range):
-        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
-            raise InputError(f"bad range ({lo!r}, {hi!r})")
+    for name, pair in (("profit_range", profit_range), ("cost_range", cost_range)):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and _is_int(pair[0]) and _is_int(pair[1]) and 0 <= pair[0] <= pair[1]):
+            raise InputError(f"{name} must be a pair of ints 0 ≤ lo ≤ hi, got {pair!r}")
     if type(budget_fraction) not in (int, Fraction) or budget_fraction < 0:
         raise InputError(f"budget_fraction must be a rational ≥ 0, got {budget_fraction!r}")
 

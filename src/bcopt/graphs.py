@@ -76,7 +76,10 @@ class Graph:
     def adjacent_edges(self, e: int) -> tuple[int, ...]:
         """Edge ids sharing at least one endpoint with e (excluding e).
         Parallel copies of e count as adjacent."""
-        vm = self._vmask[e]
+        try:
+            vm = self._vmask[e]
+        except KeyError:
+            raise InputError(f"unknown edge id: {e!r}") from None
         return tuple(f for f in self._edge_ids if f != e and self._vmask[f] & vm)
 
     def restrict(self, keep: Iterable[int]) -> "Graph":

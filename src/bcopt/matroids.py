@@ -2,14 +2,13 @@
 
 Ground elements are non-negative integer ids; independence queries go
 through bitmasks with bit position = element id, so a mask means the same
-set in every matroid over those ids.
-All oracles memoize mask queries; dict operations are atomic under the
-GIL, so shared use from threads is safe (at worst a value is computed
-twice).
+set in every matroid over those ids.  An oracle answers each query from
+its definition and keeps no per-query state.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +52,8 @@ def _ids_of(mask: int) -> tuple[int, ...]:
 class Matroid:
     """Base oracle: a ground set of ids plus an independence predicate.
 
-    Subclasses implement _indep_mask; queries arriving through
-    independent_mask are memoized per instance.
+    Subclasses implement _indep_mask, which independent_mask calls on
+    every mask inside the ground set.
 
     swaps(smask, x, among) lists the exchange-graph arcs at an element x
     outside smask: the bits y of among (a subset of smask) for which
@@ -81,7 +80,6 @@ class Matroid:
         self.ground_mask: int = _mask_of(ground)
         self.ground_list: tuple[int, ...] = _ids_of(self.ground_mask)
         self.ground: frozenset[int] = frozenset(self.ground_list)
-        self._memo: dict[int, bool] = {0: True}
 
     def is_independent(self, ids: Iterable[int]) -> bool:
         return self.independent_mask(_mask_of(ids))
@@ -89,11 +87,7 @@ class Matroid:
     def independent_mask(self, mask: int) -> bool:
         if mask & ~self.ground_mask:
             raise InputError("mask has bits outside the ground set")
-        got = self._memo.get(mask)
-        if got is None:
-            got = self._indep_mask(mask)
-            self._memo[mask] = got
-        return got
+        return self._indep_mask(mask)
 
     def _indep_mask(self, mask: int) -> bool:
         raise NotImplementedError
@@ -274,24 +268,20 @@ class GraphicMatroid(Matroid):
         self.graph = graph
 
     def _indep_mask(self, mask: int) -> bool:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # union-find over the vertices, with path halving
+        parent = list(range(self.graph.num_vertices))
         ends = self.graph.edge_ends
         for e in _ids_of(mask):
             u, v = ends[e]
-            for w in (u, v):
-                if w not in parent:
-                    parent[w] = w
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
                 return False
-            parent[ru] = rv
+            parent[u] = v
         return True
 
     def __eq__(self, other: object) -> bool:
@@ -304,7 +294,9 @@ class LinearMatroid(Matroid):
     """Columns of a matrix; independent = linearly independent columns.
 
     field is "Q" for the rationals or an integer prime p for GF(p).
-    Rational entries are kept as Fractions; elimination is exact.
+    `columns` keeps the entries as given (Fractions over Q, residues mod
+    p); elimination runs on integer copies, each Q column scaled by the
+    least common multiple of its denominators, which keeps independence.
     """
 
     kind = "linear"
@@ -331,26 +323,28 @@ class LinearMatroid(Matroid):
             raise InputError("columns have mixed dimensions")
         self.dim = dims.pop() if dims else 0
         cols: dict[int, tuple] = {}
+        ints: dict[int, tuple[int, ...]] = {}
         for e, col in columns.items():
             for x in col:
                 if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                     raise InputError(f"column {e}: entry {x!r} is not an exact rational")
             if self.field == "Q":
                 cols[e] = tuple(Fraction(x) for x in col)
+                scale = math.lcm(*(x.denominator for x in cols[e]))
+                ints[e] = tuple(int(x * scale) for x in cols[e])
             else:
                 if any(Fraction(x).denominator != 1 for x in col):
                     raise InputError("GF(p) entries must be integers")
-                cols[e] = tuple(int(x) % self.field for x in col)
+                cols[e] = ints[e] = tuple(int(x) % self.field for x in col)
         self.columns = cols
+        self._int_columns = ints
 
     def _indep_mask(self, mask: int) -> bool:
         ids = _ids_of(mask)
         if len(ids) > self.dim:
             return False
-        rows = [list(self.columns[e]) for e in ids]  # column vectors as rows
-        if self.field == "Q":
-            return _rank_q(rows) == len(ids)
-        return _rank_gfp(rows, self.field) == len(ids)
+        rows = [self._int_columns[e] for e in ids]  # column vectors as rows
+        return _rank(rows, 0 if self.field == "Q" else self.field) == len(ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearMatroid):
@@ -358,70 +352,44 @@ class LinearMatroid(Matroid):
         return self.field == other.field and self.columns == other.columns
 
 
-def _rank_q(rows: list[list[Fraction]]) -> int:
+def _rank(rows: list[Sequence[int]], p: int) -> int:
+    """The rank of integer rows, over Q when p is 0 and over GF(p)
+    otherwise.  Fraction-free elimination: each step replaces row i by
+    pivot · row i − row i[col] · pivot row, and over Q divides it
+    exactly by the previous pivot (Bareiss), so the entries stay minors
+    of the input; over GF(p) it reduces them mod p.  The list rows is
+    reordered and refilled; the rows it holds are never mutated."""
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col] / pv
-            if f:
-                for j in range(col, ncols):
-                    rows[i][j] -= f * rows[r][j]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        pv = top[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if p:
+                rows[i] = [(a * pv - f * b) % p for a, b in zip(rows[i], top)]
+            else:
+                rows[i] = [(a * pv - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = pv
         rank += 1
-        r += 1
-        col += 1
-    return rank
-
-
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col] * inv % p
-            if f:
-                for j in range(col, ncols):
-                    rows[i][j] = (rows[i][j] - f * rows[r][j]) % p
-        rank += 1
-        r += 1
-        col += 1
     return rank
 
 
 class ExplicitMatroid(Matroid):
     """Independence given by an explicit family of maximal independent
-    sets (independent = subset of some listed set).  An empty family is
-    normalized to {∅}.
+    sets (independent = subset of some listed set).  ∅ is always
+    independent: an empty family is normalized to {∅}, and from_table
+    adds ∅ to its table.
 
     from_table builds an oracle from a raw list of independent sets with
-    no closure applied; that mode exists to construct axiom violations
-    for testing and cannot be serialized.  `hereditary` tells whether
-    such a table is closed under taking subsets, which every subset
-    walk assumes.
+    no other closure applied; that mode exists to construct axiom
+    violations for testing and cannot be serialized.  `hereditary` tells
+    whether such a table is closed under taking subsets, which every
+    subset walk assumes.
     """
 
     kind = "explicit"
@@ -441,7 +409,7 @@ class ExplicitMatroid(Matroid):
     ) -> "ExplicitMatroid":
         self = cls(ground, [])
         self.maximal_masks = None
-        self._table = frozenset(_mask_of(s) for s in independent_sets)
+        self._table = frozenset(_mask_of(s) for s in independent_sets) | {0}
         for m in self._table:
             if m & ~self.ground_mask:
                 raise InputError("independent set leaves the ground set")
@@ -450,7 +418,8 @@ class ExplicitMatroid(Matroid):
     def hereditary(self) -> bool:
         """True iff every subset of an independent set is independent:
         always for the maximal-set form; for a raw table, iff removing
-        any one element from a listed set leaves a listed set or ∅."""
+        any one element from a listed set leaves a listed set (∅ is
+        always listed)."""
         if self._table is None:
             return True
         for m in self._table:

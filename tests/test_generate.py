@@ -94,12 +94,19 @@ def test_generator_validation():
     with pytest.raises(InputError):
         B.random_bi(1, kinds=("uniform", "moebius"))
     # named errors for what used to fail bare or pass silently: a
-    # non-numeric edge_prob (TypeError), a one-kind tuple (IndexError)
-    # and a three-kind tuple (third kind dropped)
+    # non-numeric edge_prob (TypeError), a one-kind tuple (IndexError),
+    # a three-kind tuple (third kind dropped), kinds with no length
+    # (TypeError) and ranges that are no pair (TypeError, ValueError)
     for make, arg in (
         (lambda: B.random_bm(1, edge_prob="x"), "edge_prob"),
         (lambda: B.random_bi(1, kinds=("uniform",)), "kinds"),
         (lambda: B.random_bi(1, kinds=("uniform", "partition", "graphic")), "kinds"),
+        (lambda: B.random_bi(1, kinds=None), "kinds"),
+        (lambda: B.random_bi(1, kinds=3), "kinds"),
+        (lambda: B.random_bm(1, profit_range=None), "profit_range"),
+        (lambda: B.random_bm(1, profit_range=(1,)), "profit_range"),
+        (lambda: B.random_bm(1, cost_range=(5,)), "cost_range"),
+        (lambda: B.random_bi(1, cost_range=(1, 2, 3)), "cost_range"),
     ):
         with pytest.raises(InputError, match=arg):
             make()

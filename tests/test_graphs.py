@@ -29,6 +29,8 @@ def test_is_matching_and_adjacency():
     assert not g.is_matching({0, 1})
     assert set(g.adjacent_edges(0)) == {1, 3}
     assert set(g.adjacent_edges(2)) == {1, 3}
+    with pytest.raises(InputError, match="unknown edge id"):
+        g.adjacent_edges(7)
 
 
 def test_restrict_and_vertex_removal():

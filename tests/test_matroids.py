@@ -1,7 +1,9 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from util import (
     explicit_copy,
     random_matroid,
     random_partition,
+    reference_independent_gfp,
+    reference_rank_q,
 )
 
 FIG1_GRAPH = B.Graph(5, {0: (1, 2), 1: (1, 3), 2: (3, 4), 3: (2, 4)})
@@ -331,7 +335,7 @@ def test_min_basis_blocking_property():
             assert not independent(m, cheap | {a})
 
 
-def test_memoization_is_invisible():
+def test_repeated_queries_agree():
     m = B.UniformMatroid(range(5), 3)
     assert independent(m, [0, 1])
     assert independent(m, [0, 1])
@@ -443,3 +447,120 @@ def test_swap_classes_merge_blocks_by_hand():
     assert list(p.swap_classes(smask, 0b11110100, smask).items()) == list(
         B.Matroid.swap_classes(p, smask, 0b11110100, smask).items()
     )
+
+
+class _DependentEmpty(B.Matroid):
+    """Every set is dependent, ∅ included: no matroid."""
+
+    def _indep_mask(self, mask):
+        return False
+
+
+class _EmptyOnlyDependent(B.Matroid):
+    """Every nonempty set is independent and ∅ is not: heredity fails
+    only at ∅."""
+
+    def _indep_mask(self, mask):
+        return mask != 0
+
+
+@pytest.mark.parametrize("cls", [_DependentEmpty, _EmptyOnlyDependent])
+@pytest.mark.parametrize("n,mode", [(3, "exhaustive"), (16, "sampled")])
+def test_axiom_check_sees_a_dependent_empty_set(cls, n, mode):
+    m = cls(range(n))
+    assert not m.independent_mask(0)
+    rep = B.axiom_check(m, samples=50)
+    assert not rep.ok and rep.mode == mode
+    assert rep.witness == {"axiom": "empty"}
+
+
+def _all_masks_agree(m, vectors, reference):
+    # vectors: the columns as the reference reads them, by id
+    ids = m.ground_list
+    for k in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, k):
+            mask = sum(1 << e for e in combo)
+            want = reference([vectors[e] for e in combo])
+            assert m.independent_mask(mask) == want, combo
+
+
+def test_linear_rational_matches_fraction_elimination():
+    rng = random.Random(11)
+    for _ in range(25):
+        dim = rng.randint(1, 4)
+        n = rng.randint(1, 7)
+
+        def entry():
+            return F(rng.randint(-4, 4), rng.randint(1, 5))
+
+        cols = {}
+        for e in range(n):
+            if e >= 2 and rng.random() < 0.4:
+                # a planted rational combination of two earlier columns
+                a, b = rng.sample(range(e), 2)
+                x, y = entry(), entry()
+                cols[e] = [x * s + y * t for s, t in zip(cols[a], cols[b])]
+            else:
+                cols[e] = [entry() for _ in range(dim)]
+        m = B.LinearMatroid(cols, "Q")
+        _all_masks_agree(m, cols, lambda vs: reference_rank_q(vs) == len(vs))
+        assert m.columns == {e: tuple(c) for e, c in cols.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_linear_prime_field_matches_coefficient_search(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        n = rng.randint(1, 4 if p == 7 else 5)
+        cols = {e: [rng.randint(-2 * p, 2 * p) for _ in range(dim)] for e in range(n)}
+        m = B.LinearMatroid(cols, p)
+        _all_masks_agree(m, cols, lambda vs: reference_independent_gfp(vs, p))
+
+
+def test_graphic_matches_networkx_forests():
+    rng = random.Random(5)
+    for _ in range(40):
+        nv = rng.randint(2, 6)
+        ends = {}
+        for e in range(rng.randint(1, 8)):
+            if ends and rng.random() < 0.3:
+                ends[e] = ends[rng.randrange(e)]  # a parallel copy
+            else:
+                ends[e] = tuple(rng.sample(range(nv), 2))
+        m = B.GraphicMatroid(B.Graph(nv, ends))
+        for k in range(len(ends) + 1):
+            for combo in itertools.combinations(sorted(ends), k):
+                g = nx.MultiGraph()
+                g.add_nodes_from(range(nv))
+                g.add_edges_from(ends[e] for e in combo)
+                assert m.is_independent(combo) == nx.is_forest(g), (ends, combo)
+
+
+def _state_sizes(m):
+    return {k: sys.getsizeof(v) for k, v in vars(m).items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: B.UniformMatroid(range(12), 5),
+    lambda: B.PartitionMatroid(range(12), [range(4), range(4, 12)], [2, 3]),
+    lambda: B.GraphicMatroid(B.Graph(6, {e: (e % 6, (e + 1 + e // 6) % 6) for e in range(12)})),
+    lambda: B.LinearMatroid({e: [F(e, 3), e % 4, 1] for e in range(12)}, "Q"),
+    lambda: B.LinearMatroid({e: [e % 3, e % 5, 1] for e in range(12)}, 5),
+    lambda: B.ExplicitMatroid(range(12), [range(5), range(4, 10)]),
+    lambda: B.ExplicitMatroid.from_table(range(12), [[e] for e in range(12)]),
+], ids=["uniform", "partition", "graphic", "linear_q", "linear_gf5", "explicit", "table"])
+def test_oracle_state_does_not_grow_with_queries(make):
+    m = make()
+    before = _state_sizes(m)
+    rng = random.Random(0)
+    for _ in range(1000):
+        m.independent_mask(rng.getrandbits(12))
+    assert _state_sizes(m) == before
+
+
+def test_from_table_lists_the_empty_set():
+    listed = B.ExplicitMatroid.from_table(range(2), [[], [0]])
+    unlisted = B.ExplicitMatroid.from_table(range(2), [[0]])
+    assert unlisted.independent_mask(0)
+    assert listed == unlisted

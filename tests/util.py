@@ -367,3 +367,32 @@ def reference_profit_classes(inst, eps, alpha):
                 classes.setdefault(r, []).append(e.id)
                 break
     return {r: tuple(sorted(v)) for r, v in sorted(classes.items())}
+
+
+def reference_rank_q(vectors):
+    """The rank of rational vectors by plain Fraction Gaussian
+    elimination with full row reduction."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[col] for x in pivot]
+        rows = [[x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
+        rows.insert(rank, pivot)
+        rank += 1
+    return rank
+
+
+def reference_independent_gfp(vectors, p):
+    """True iff no nonzero coefficient vector over GF(p) combines the
+    integer vectors to zero mod p, trying all p^k of them."""
+    dim = len(vectors[0]) if vectors else 0
+    for coeffs in itertools.product(range(p), repeat=len(vectors)):
+        if any(coeffs) and all(
+            sum(c * v[j] for c, v in zip(coeffs, vectors)) % p == 0 for j in range(dim)
+        ):
+            return False
+    return True

@@ -21,7 +21,9 @@ from .generate import corpus_bi, corpus_bm, random_bi, random_bm
 from .lagrangian import STRATEGIES, non_profitable_solve
 from .matroids import AxiomReport, axiom_check
 from .model import BCInstance, MatroidIntersectionConstraint
-from .oracles import brute_force_opt, check_exchange_set, check_representative
+from .oracles import (
+    MAX_EXHAUSTIVE, brute_force_opt, check_exchange_set, check_representative
+)
 from .repset import repset
 from .serialize import (
     canonical_json,
@@ -84,20 +86,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--alpha", choices=ALPHA_MODES, default="two-approx")
-    p.add_argument("--max-exhaustive", type=int, default=24)
+    p.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("exact", help="exhaustive exact optimum")
     p.add_argument("instance")
-    p.add_argument("--max-exhaustive", type=int, default=24)
+    p.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("nps", help="non-profitable solver (additive 2*max-profit slack)")
     p.add_argument("instance")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.add_argument("--max-exhaustive", type=int, default=24)
+    p.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_nps)
 
@@ -123,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate", help="JSON candidate file for set checkers")
     p.add_argument("--epsilon")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-exhaustive", type=int, default=24)
+    p.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_verify)
 
@@ -145,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="CSV benchmark over a corpus")
     p.add_argument("paths", nargs="+", help="instance files or directories")
     p.add_argument("--epsilons", required=True, help="comma list, e.g. 1/2,1/3")
-    p.add_argument("--max-exhaustive", type=int, default=24)
+    p.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InputError
 from .lagrangian import residual_tail
 from .model import BCInstance, Solution, low_profit_ids, _rat
-from .oracles import iter_solutions
-from .repset import RepSetResult, checked_key, repset
+from .oracles import MAX_EXHAUSTIVE, iter_solutions
+from .repset import RepSetResult, checked_key, profit_cut, repset
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ def eptas_run(
     eps: Fraction,
     strategy: str = "auto",
     alpha_mode: str = "two-approx",
-    max_exhaustive: int = 24,
+    max_exhaustive: int = MAX_EXHAUSTIVE,
     prune: bool = False,
 ) -> EptasRun:
     """Full scheme run with a report.
@@ -60,25 +59,16 @@ def eptas_run(
     eps = rep.params.epsilon
     alpha = rep.alpha
     cap = int(1 / eps)  # ⌊1/ε⌋ exact: Fraction floor division
-    best: tuple[int, tuple[int, ...]] = (0, ())  # the empty solution's key
+    best = [(0, ())]  # the incumbent key, the empty solution's first
     enumerated = 0
     fallbacks = 0
     low = low_profit_ids(inst, eps, alpha)
-    P, C = inst.int_profit, inst.int_cost
+    P = inst.int_profit
     desc = sorted(low, key=lambda e: (-P[e], e))
     desc_all = sorted(rep.union.union(low), key=lambda e: (-P[e], e))
     c = inst.constraint
-    bound = c.bound
-
-    # True when p(F) plus F's bound over pool is below the best profit;
-    # the walk asks it over R ∪ E(α) as the cut of F's children once F's
-    # candidate is in best
-    def below(
-        state: int, cost: int, profit: int, pool: Sequence[int] = desc_all
-    ) -> bool:
-        need = -best[0] - profit
-        return bound(state, pool, P, C, inst.int_budget - cost, need) < need
-
+    # the walk asks the cut over R ∪ E(α); a residual's skip test is over E(α)
+    below = profit_cut(inst, best, desc_all)
     walk = iter_solutions(
         inst, candidates=sorted(rep.union), max_size=cap,
         cut=below if prune else None,
@@ -92,12 +82,13 @@ def eptas_run(
         fallbacks += fallback
         if below(state, cost, profit, desc):
             continue
+        scope = inst.residual(state, cost, low)
         tail = residual_tail(
-            inst, pinned, low, "auto" if fallback else strategy, max_exhaustive
+            inst, scope, "auto" if fallback else strategy, max_exhaustive
         )
-        best = min(best, checked_key(inst, pinned, tail))
+        best[0] = min(best[0], checked_key(inst, pinned, tail))
     return EptasRun(
-        solution=Solution.of(inst, best[1]),
+        solution=Solution.of(inst, best[0][1]),
         epsilon=eps,
         alpha=alpha,
         rep=rep,
@@ -114,18 +105,9 @@ def _core_epsilon(eps: Fraction | int) -> Fraction:
     return eps / 8
 
 
-def approximate(
-    inst: BCInstance,
-    eps: Fraction,
-    strategy: str = "auto",
-    alpha_mode: str = "two-approx",
-    max_exhaustive: int = 24,
-) -> Solution:
+def approximate(inst: BCInstance, eps: Fraction) -> Solution:
     """Solution with p ≥ (1−ε)·OPT, by running the core scheme at ε/8.
 
     The run prunes its prefix walk (`eptas_run`'s prune): only the
     solution is returned, and the cut leaves it unchanged."""
-    return eptas_run(
-        inst, _core_epsilon(eps), strategy=strategy, alpha_mode=alpha_mode,
-        max_exhaustive=max_exhaustive, prune=True,
-    ).solution
+    return eptas_run(inst, _core_epsilon(eps), prune=True).solution

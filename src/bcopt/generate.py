@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import InputError
@@ -161,27 +162,14 @@ def _random_matroid(rng: random.Random, ground: Sequence[int], kind: str) -> Mat
 
 
 def _maximal_independent_sets(matroid: Matroid) -> list[list[int]]:
-    ids = matroid.ground_list
-    n = len(ids)
-    indep_masks = []
-    for m in range(1 << n):
-        gm = 0
-        for b in range(n):
-            if m >> b & 1:
-                gm |= 1 << ids[b]
-        if matroid.independent_mask(gm):
-            indep_masks.append(m)
-    indep_set = set(indep_masks)
-    out = []
-    for m in indep_masks:
-        grown = False
-        for b in range(n):
-            if not m >> b & 1 and (m | (1 << b)) in indep_set:
-                grown = True
-                break
-        if not grown:
-            out.append(sorted(ids[b] for b in range(n) if m >> b & 1))
-    return sorted(out)
+    """The bases of a matroid, in ascending order: a matroid's maximal
+    independent sets are exactly its independent sets of `full_rank`
+    size, so only the sets of that size are tried."""
+    return [
+        list(c)
+        for c in combinations(matroid.ground_list, matroid.full_rank())
+        if matroid.independent_mask(sum(1 << e for e in c))
+    ]
 
 
 _EDGE_PROBS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))

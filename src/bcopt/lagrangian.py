@@ -7,8 +7,8 @@ trivially; the Lagrangian strategy meets it through the two-solution
 patching of Berger et al. (Math. Prog. 2011), validated
 instance-by-instance by the test corpus.
 
-Every solve here runs on a `Scope`, the in-place residual of a pinned
-set F (see `model.Constraint`); the default scope is the whole instance,
+Every solve here runs on a `model.Scope`, the in-place residual of a
+pinned set F (see `model.Constraint`); the default scope, `whole`, is
 F = ∅.  `non_profitable_solve(inst)` is the residual tail of F = ∅.
 """
 
@@ -16,34 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 from .errors import CapacityError, InputError, InvariantError
 from .graphs import connected_components_edges
-from .model import BCInstance, Solution, _rat, relaxation_value, relaxation_weights
-from .oracles import exhaustive_search, max_weight_matching, mi_extreme_chain
-
-
-class Scope(NamedTuple):
-    """The residual of a pinned set F, solved in place: F's walk state,
-    the ascending ids of the elements it keeps, and its budget β − c(F)
-    on the instance's integer cost scale."""
-
-    base: int
-    ids: tuple[int, ...]
-    budget: int
-
-
-def whole(inst: BCInstance) -> Scope:
-    """The scope of F = ∅: every element, the full budget."""
-    return Scope(inst.constraint.state_of(()), inst.ids, inst.int_budget)
-
-
-def _key(inst: BCInstance, ids: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """(−p, sorted ids) on the integer profit scale, the order of
-    `Solution.key`: the smaller key wins."""
-    ids = tuple(sorted(ids))
-    return -sum(inst.int_profit[e] for e in ids), ids
+from .model import (
+    BCInstance, Scope, Solution, _rat, relaxation_value, relaxation_weights, whole
+)
+from .oracles import (
+    MAX_EXHAUSTIVE, exhaustive_search, max_weight_matching, mi_extreme_chain
+)
 
 
 def _fits(inst: BCInstance, scope: Scope, ids: Iterable[int]) -> bool:
@@ -53,6 +35,15 @@ def _fits(inst: BCInstance, scope: Scope, ids: Iterable[int]) -> bool:
     if sum(inst.int_cost[e] for e in ids) > scope.budget:
         return False
     return inst.constraint.join(scope.base, sum(1 << e for e in ids)) is not None
+
+
+def _opening(inst: BCInstance, cert: LagrangianCertificate, scope: Scope) -> tuple:
+    """Where both patchings start: the least key among ∅, s_minus, and
+    s_plus when it solves the scope's residual."""
+    best = min(inst.key_of(()), inst.key_of(cert.s_minus))
+    if _fits(inst, scope, cert.s_plus):
+        best = min(best, inst.key_of(cert.s_plus))
+    return best
 
 
 def _winner(inst: BCInstance, scope: Scope, key: tuple, who: str) -> Solution:
@@ -253,9 +244,7 @@ def patch_matching(
     if cert.s_plus is None:
         return Solution.of(inst, cert.s_minus)
     scope = scope or whole(inst)
-    best = min(_key(inst, ()), _key(inst, cert.s_minus))
-    if _fits(inst, scope, cert.s_plus):
-        best = min(best, _key(inst, cert.s_plus))
+    best = _opening(inst, cert, scope)
     graph = inst.constraint.graph
     diff = sorted(cert.s_minus ^ cert.s_plus)
     comps = connected_components_edges(graph, diff)
@@ -274,7 +263,7 @@ def patch_matching(
         if cur_cost + dc <= budget:
             current ^= set(comp)
             cur_cost += dc
-            best = min(best, _key(inst, current))
+            best = min(best, inst.key_of(current))
             continue
         # first budget-crossing component: edge-by-edge prefix walk
         for seq in _orientations(graph, comp):
@@ -282,7 +271,7 @@ def patch_matching(
             for e in seq:
                 state ^= {e}
                 if _fits(inst, scope, state):
-                    best = min(best, _key(inst, state))
+                    best = min(best, inst.key_of(state))
         break
     return _winner(inst, scope, best, "patch_matching")
 
@@ -305,9 +294,7 @@ def patch_intersection(
     if cert.s_plus is None:
         return Solution.of(inst, cert.s_minus)
     scope = scope or whole(inst)
-    best = min(_key(inst, ()), _key(inst, cert.s_minus))
-    if _fits(inst, scope, cert.s_plus):
-        best = min(best, _key(inst, cert.s_plus))
+    best = _opening(inst, cert, scope)
     c = inst.constraint
     P, C = inst.int_profit, inst.int_cost
     chosen = set(cert.s_minus)
@@ -321,14 +308,14 @@ def patch_intersection(
             chosen.add(e)
             state = nxt
             cur_cost += C[e]
-    best = min(best, _key(inst, chosen))
+    best = min(best, inst.key_of(chosen))
     chain = cert.chain
     if chain is None:
         weights = relaxation_weights(inst, cert.lam, scope.ids)
         chain = mi_extreme_chain(c.m1, c.m2, weights, scope.base)
     for link in chain:
         if _fits(inst, scope, link):
-            best = min(best, _key(inst, link))
+            best = min(best, inst.key_of(link))
     return _winner(inst, scope, best, "patch_intersection")
 
 
@@ -347,47 +334,40 @@ def choose_strategy(strategy: str, n: int, max_exhaustive: int) -> str:
 
 def residual_tail(
     inst: BCInstance,
-    pinned: Sequence[int],
-    pool: Sequence[int],
+    scope: Scope,
     strategy: str = "auto",
-    max_exhaustive: int = 24,
+    max_exhaustive: int = MAX_EXHAUSTIVE,
 ) -> tuple[int, ...]:
     """Sorted ids of a set T with p(T) ≥ OPT − 2·max p(e) on the residual
-    of F = pinned over pool: T ∪ F is feasible and c(T) ≤ β − c(F).
+    of a pinned set F: T ∪ F is feasible and c(T) ≤ β − c(F).
 
-    pinned is a solution of inst and pool ascending ids of inst; neither
-    is checked, so callers check F ∪ tail (`repset.checked_key`).  The
-    residual keeps the pool's `survivors` of F, n of them, and is solved
-    in place from F's walk state: exhaustively (exact, gated at
-    max_exhaustive) or by Lagrangian search and patching; auto picks by
-    `choose_strategy`.
+    scope is F's residual as `BCInstance.residual` builds it; it is not
+    checked, so callers check F ∪ tail (`repset.checked_key`).  Its n
+    survivors are solved in place from F's walk state: exhaustively
+    (exact, gated at max_exhaustive) or by Lagrangian search and
+    patching; auto picks by `choose_strategy`.
     """
-    c = inst.constraint
-    base = c.state_of(pinned)
-    keep = c.survivors(base, pool)
-    n = len(keep)
+    n = len(scope.ids)
     strategy = choose_strategy(strategy, n, max_exhaustive)
     if n == 0:
         return ()
-    budget = inst.int_budget - sum(inst.int_cost[e] for e in pinned)
     if strategy == "exhaustive":
         if n > max_exhaustive:
             raise CapacityError(
                 f"brute force over {n} elements (bound {max_exhaustive})"
             )
-        return exhaustive_search(inst, keep, base, budget)[1]
-    scope = Scope(base, tuple(keep), budget)
+        return exhaustive_search(inst, scope)[1]
     cert = lagrangian_search(inst, scope)
-    patch = patch_matching if c.kind == "matching" else patch_intersection
+    patch = patch_matching if inst.constraint.kind == "matching" else patch_intersection
     return patch(inst, cert, scope).ids
 
 
 def non_profitable_solve(
     inst: BCInstance,
     strategy: str = "auto",
-    max_exhaustive: int = 24,
+    max_exhaustive: int = MAX_EXHAUSTIVE,
 ) -> Solution:
     """Solution with p(S) ≥ OPT − 2·max p(e): the residual tail of the
     empty set over every element (see `residual_tail`)."""
-    tail = residual_tail(inst, (), inst.ids, strategy, max_exhaustive)
+    tail = residual_tail(inst, whole(inst), strategy, max_exhaustive)
     return Solution.of(inst, tail)

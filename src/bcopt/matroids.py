@@ -290,6 +290,35 @@ class GraphicMatroid(Matroid):
         return self.graph == other.graph
 
 
+# the first thirteen primes, the Miller–Rabin bases that decide
+# primality exactly below _PRIME_LIMIT, the least strong pseudoprime to
+# all of them; no larger field order is accepted
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin for 2 ≤ n < _PRIME_LIMIT."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class LinearMatroid(Matroid):
     """Columns of a matrix; independent = linearly independent columns.
 
@@ -310,11 +339,13 @@ class LinearMatroid(Matroid):
         if field == "Q":
             self.field: str | int = "Q"
         elif isinstance(field, int) and field >= 2:
-            for d in range(2, field):
-                if d * d > field:
-                    break
-                if field % d == 0:
-                    raise InputError(f"field order {field} is not prime")
+            if field >= _PRIME_LIMIT:
+                raise InputError(
+                    f"field order of {field.bit_length()} bits is too large: "
+                    f"orders must be below {_PRIME_LIMIT}"
+                )
+            if not _is_prime(field):
+                raise InputError(f"field order {field} is not prime")
             self.field = field
         else:
             raise InputError(f"bad field: {field!r}")

@@ -7,8 +7,8 @@ the scheme skip a residual solve.
 
 Arithmetic runs on integers: an instance scales its profits, and its
 costs with its budget, to integers once.  A residual is no instance of
-its own: it is solved in place on its parent's tables, from the walk
-state of its pinned set (see `Constraint`).  Only this module knows the
+its own: it is a `Scope` (`BCInstance.residual`), solved in place on
+its parent's tables (see `Constraint`).  Only this module knows the
 scale factors; other modules compare the integers and get `Fraction`
 values back from here, the API and report boundary.  Nothing touches
 floats.
@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateAlpha, InputError
 from .graphs import Graph, _is_int
@@ -59,10 +59,10 @@ class Constraint:
     state of a feasible F ∪ S is state_of(F) | state_of(S).
 
     The residual of F over a pool is solved in place as the triple
-    (state_of(F), survivors, β − c(F)) on the instance's own tables: a
-    set S of survivors solves it when join(state_of(F), S) is not None
-    and c(S) fits the reduced budget, and then F ∪ S solves the
-    instance.
+    (state_of(F), survivors, β − c(F)), a `Scope`, on the instance's own
+    tables: a set S of survivors solves it when join(state_of(F), S) is
+    not None and c(S) fits the reduced budget, and then F ∪ S solves
+    the instance; both non-profitable solvers take it.
 
     A subclass sets kind, footprint and the ground set, and defines
     extend and room."""
@@ -142,6 +142,16 @@ class Constraint:
                 if not left or (need is not None and total >= need):
                     break
         return total
+
+
+class Scope(NamedTuple):
+    """The residual of a pinned set F, solved in place: F's walk state,
+    the ascending ids of the elements it keeps, and its budget β − c(F)
+    on the instance's integer cost scale."""
+
+    base: int
+    ids: tuple[int, ...]
+    budget: int
 
 
 class MatchingConstraint(Constraint):
@@ -313,6 +323,18 @@ class BCInstance:
             m |= 1 << e
         return m
 
+    def key_of(self, ids: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+        """The candidate key (−p, sorted ids) on the integer profit scale,
+        the order of `Solution.key`: the smaller key wins."""
+        ids = tuple(sorted(ids))
+        return -sum([self.int_profit[e] for e in ids]), ids
+
+    def residual(self, state: int, cost: int, pool: Iterable[int]) -> Scope:
+        """The `Scope` of a pinned set F over ascending pool ids, from F's
+        walk state and integer cost as `oracles.iter_solutions` yields them."""
+        keep = tuple(self.constraint.survivors(state, pool))
+        return Scope(state, keep, self.int_budget - cost)
+
     def constraint_ok(self, ids: Iterable[int]) -> bool:
         return self.constraint.feasible_mask(self.mask_of(ids))
 
@@ -336,6 +358,11 @@ class BCInstance:
             f"BCInstance(n={self.n}, kind={self.constraint.kind}, "
             f"budget={self.budget})"
         )
+
+
+def whole(inst: BCInstance) -> Scope:
+    """The scope of F = ∅: every element, the full budget."""
+    return Scope(inst.constraint.state_of(()), inst.ids, inst.int_budget)
 
 
 def feasible(inst: BCInstance, ids: Iterable[int]) -> bool:
@@ -479,20 +506,30 @@ def profit_classes(
     _, count = _eps_counts(eps)
     # integer profits: p ≤ t exactly when the scaled p ≤ ⌊t scaled⌋, so
     # class r is E[r] < p ≤ E[r−1] for the band edges E[r] = ⌊2α(1−ε)^r
-    # scaled⌋, kept negated to bisect ascending
+    # scaled⌋, kept negated to bisect ascending.  The edges come from
+    # running products and stop at the first below the least profit
+    # past the cut: no element that passes the cut needs a later one.
     a, b = eps.numerator, eps.denominator
     top = 2 * alpha * inst._sp
-    edges = [
-        -(top.numerator * (b - a) ** r // (top.denominator * b**r))
-        for r in range(count + 1)
-    ]
     cut = math.floor(eps * alpha * inst._sp)
+    P = inst.int_profit
+    least = min([p for p in P if p > cut], default=None)
+    edges: list[int] = []
+    num, den = top.numerator, top.denominator
+    while least is not None and len(edges) <= count:
+        edge = num // den
+        edges.append(-edge)
+        if edge < least:
+            break
+        num *= b - a
+        den *= b
     classes: dict[int, list[int]] = {}
     for e in inst.ids:
-        p = inst.int_profit[e]
-        r = bisect_right(edges, -p)  # the least r with E[r] < p
-        if p > cut and 1 <= r <= count:
-            classes.setdefault(r, []).append(e)
+        p = P[e]
+        if p > cut:
+            r = bisect_right(edges, -p)  # the least r with E[r] < p
+            if 1 <= r <= count:
+                classes.setdefault(r, []).append(e)
     return ProfitClassing(
         alpha=alpha,
         epsilon=eps,

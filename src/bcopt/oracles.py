@@ -1,7 +1,8 @@
 """Exact reference solvers and combinatorial checkers.
 
 Everything here is the slow, trustworthy side of the package: exhaustive
-search with pruning, exact weighted matching (the blossom algorithm in
+search with pruning over a `model.Scope`, gated at MAX_EXHAUSTIVE
+elements by default, exact weighted matching (the blossom algorithm in
 `bcopt.blossom`, whose tie-break among equally good matchings is pinned
 in this package and equals networkx 3.6.1's), weighted matroid
 intersection by augmenting paths, and the exchange-set /
@@ -46,7 +47,10 @@ from .errors import CapacityError, InputError
 from .exchange import class_members
 from .graphs import Graph, _is_int
 from .matroids import Matroid, _ids_of
-from .model import BCInstance, ProfitClassing, Solution, _check_epsilon
+from .model import BCInstance, ProfitClassing, Scope, Solution, _check_epsilon, whole
+
+# every exact solver's default gate; "auto" residuals past it go Lagrangian
+MAX_EXHAUSTIVE = 24
 
 
 @dataclass(frozen=True)
@@ -93,20 +97,19 @@ def _walk(
 _WalkState = tuple[int, int, int, int]
 
 
-def exhaustive_search(
-    inst: BCInstance, pool: Sequence[int], base: int, budget: int
-) -> tuple[int, tuple[int, ...]]:
-    """Best (integer profit, sorted ids) subset T of a pool that extends
-    a pinned set: feasible together with it and of cost ≤ budget.
+def exhaustive_search(inst: BCInstance, scope: Scope) -> tuple[int, tuple[int, ...]]:
+    """Best (integer profit, sorted ids) subset T of a scope's pool that
+    extends its pinned set: feasible together with it and of cost ≤ its
+    budget (see `BCInstance.residual`).
 
-    base is the pinned set's walk state (`constraint.state_of`); budget
-    is on the instance's integer cost scale.  Prunes by budget, by the
+    base is the pinned set's walk state.  Prunes by budget, by the
     hereditary property (supersets of an infeasible set are never
     visited) and by room: a set d elements past base has room for at
     most k − d more, k = `room(base)`, so from pool index j on it gains
     at most the k − d largest profits of pool[j:].  The cut is
     non-strict, so ties resolve to the lexicographically smallest id
     set."""
+    base, pool, budget = scope
     P = [inst.int_profit[e] for e in pool]
     C = [inst.int_cost[e] for e in pool]
     constraint = inst.constraint
@@ -144,7 +147,7 @@ def exhaustive_search(
     return best_p, best
 
 
-def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
+def brute_force_opt(inst: BCInstance, max_n: int = MAX_EXHAUSTIVE) -> Solution:
     """Exact optimum: `exhaustive_search` over every element, gated at
     max_n elements and cached on the instance."""
     if inst.n > max_n:
@@ -152,8 +155,7 @@ def brute_force_opt(inst: BCInstance, max_n: int = 24) -> Solution:
     cached = inst._cache.get("brute_opt")
     if cached is not None:
         return cached
-    base = inst.constraint.state_of(())
-    _, best = exhaustive_search(inst, inst.ids, base, inst.int_budget)
+    _, best = exhaustive_search(inst, whole(inst))
     sol = Solution.of(inst, best)
     inst._cache["brute_opt"] = sol
     return sol
@@ -454,7 +456,7 @@ def check_exchange_set(
     r: int,
     exchange_set: Iterable[int],
     classing: ProfitClassing | None = None,
-    max_n: int = 24,
+    max_n: int = MAX_EXHAUSTIVE,
 ) -> OracleReport:
     """Decide whether X is an exchange set for profit class r.
 
@@ -521,7 +523,7 @@ def check_representative(
     inst: BCInstance,
     eps: Fraction,
     rep: Iterable[int],
-    max_n: int = 24,
+    max_n: int = MAX_EXHAUSTIVE,
 ) -> OracleReport:
     """Decide whether R is a representative set: some solution avoiding
     the profitable non-members (profit > ε·OPT) reaches (1−4ε)·OPT."""

@@ -1,14 +1,14 @@
 """The 2-approximation that seeds α, the per-class assembly of the
-representative set, and `checked_key`, the check and order of a
-candidate that the 2-approximation shares with the scheme's prefix
-enumeration.  Both skip a residual solve by the constraint's profit
-`bound` and solve the rest with `lagrangian.residual_tail`."""
+representative set, and what the 2-approximation shares with the
+scheme's prefix enumeration: `checked_key`, the check and order of a
+candidate, and `profit_cut`, the constraint's profit `bound` that skips
+a residual solve.  Both solve the rest with `lagrangian.residual_tail`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError, InvariantError
 from .exchange import exset_matching, exset_matroid_intersection
@@ -27,15 +27,30 @@ from .oracles import brute_force_opt, iter_solutions
 def checked_key(
     inst: BCInstance, pinned: tuple[int, ...], tail: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
-    """Key (−p, ids) of F ∪ tail on inst's integer profit scale, the
-    order of `Solution.key`.  Raises InvariantError unless the union,
-    recomputed whole, is a solution of inst."""
+    """The candidate key (`BCInstance.key_of`) of F ∪ tail.  Raises
+    InvariantError unless the union, recomputed whole, is a solution of
+    inst."""
     ids = tuple(sorted(set(pinned) | set(tail)))
     if not inst.constraint.feasible_mask(inst.mask_of(ids)) or (
         sum(inst.int_cost[e] for e in ids) > inst.int_budget
     ):
         raise InvariantError(f"prefix {list(pinned)} plus its tail is infeasible")
-    return -sum(inst.int_profit[e] for e in ids), ids
+    return inst.key_of(ids)
+
+
+def profit_cut(inst: BCInstance, best: list, pool: Sequence[int]) -> Callable:
+    """below(state, cost, profit, pool), True when p(F) plus F's `bound`
+    over pool (default: this one, in (profit desc, id) order) is below
+    the profit of the incumbent key best[0]; a walk asks it as the cut
+    of F's children once F's candidate is in best.  One per walk."""
+    bound = inst.constraint.bound
+    P, C, budget = inst.int_profit, inst.int_cost, inst.int_budget
+
+    def below(state: int, cost: int, profit: int, pool: Sequence[int] = pool) -> bool:
+        need = -best[0][0] - profit
+        return bound(state, pool, P, C, budget - cost, need) < need
+
+    return below
 
 
 def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
@@ -59,23 +74,15 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
     cached = inst._cache.get("two_approx")
     if cached is not None:
         return cached
-    P, C = inst.int_profit, inst.int_cost
+    P = inst.int_profit
     desc = sorted(inst.ids, key=lambda e: (-P[e], e))
     # threshold -> its filtered pool, in desc order and in id order; a
     # run has at most n thresholds
     pools: dict[int, tuple[list[int], list[int]]] = {}
-    best: tuple[int, tuple[int, ...]] | None = None
-    bound = inst.constraint.bound
-
-    # True when p(F) plus F's bound over pool is below the best profit;
-    # the walk asks it as the cut of F's children once F's candidate is
-    # in best, so best is set from the empty prefix on
-    def below(
-        state: int, cost: int, profit: int, pool: Sequence[int] = desc
-    ) -> bool:
-        need = -best[0] - profit
-        return bound(state, pool, P, C, inst.int_budget - cost, need) < need
-
+    # the incumbent key: above every candidate's (−p ≤ 0), so the empty
+    # prefix's replaces it
+    best = [(1, ())]
+    below = profit_cut(inst, best, desc)
     walk = iter_solutions(inst, max_size=4, cut=below)
     for pinned, state, cost, profit in walk:
         pool = inst.ids
@@ -88,10 +95,9 @@ def two_approx(inst: BCInstance) -> tuple[Solution, Fraction]:
             if below(state, cost, profit, pair[0]):
                 continue
             pool = pair[1]
-        tail = residual_tail(inst, pinned, pool)
-        key = checked_key(inst, pinned, tail)
-        best = key if best is None else min(best, key)
-    sol = Solution.of(inst, best[1])
+        tail = residual_tail(inst, inst.residual(state, cost, pool))
+        best[0] = min(best[0], checked_key(inst, pinned, tail))
+    sol = Solution.of(inst, best[0][1])
     result = (sol, sol.profit)
     inst._cache["two_approx"] = result
     return result

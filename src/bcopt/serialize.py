@@ -162,7 +162,13 @@ def matroid_from_dict(data: Mapping, ground: Sequence[int]) -> Matroid:
             m = _GF_RE.match(str(field_str))
             if not m:
                 raise InputError(f"bad field {field_str!r}: use 'Q' or 'GF(p)'")
-            field = int(m.group(1))
+            try:
+                field = int(m.group(1))
+            except ValueError:
+                # past Python's limit on the digits of an int literal
+                raise InputError(
+                    f"bad field of {len(m.group(1))} digits: too long"
+                ) from None
         cols = data.get("columns")
         if not isinstance(cols, list) or len(cols) != len(ground):
             raise InputError("linear matroid column count must match element count")

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import bcopt as B
+from bcopt.model import Scope
 from bcopt.oracles import exhaustive_search
 from util import bi_pairs
 
@@ -77,6 +78,6 @@ def test_bound_is_at_least_the_best_tail(name, make, budget):
     # two_approx asks at least the empty prefix's cut over every element
     assert len(calls) > 1
     for state, desc, left in calls:
-        keep = sorted(c.survivors(state, desc))
-        best = exhaustive_search(inst, keep, state, left)[0]
+        keep = tuple(sorted(c.survivors(state, desc)))
+        best = exhaustive_search(inst, Scope(state, keep, left))[0]
         assert c.bound(state, desc, P, C, left) >= best, (state, desc, left)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import bcopt as B
 from bcopt.lagrangian import residual_tail
+from bcopt.model import Scope
 from bcopt.oracles import _walk, exhaustive_search
-from util import bi_pairs, walk_ids
+from util import bi_pairs, scope_of, walk_ids
 
 # not `import bcopt.repset`: the package's `repset` function shadows
 # the module as an attribute
@@ -81,7 +82,7 @@ def test_ceiling_bounds_every_extension(source, index, seed):
         full = c.bound(state, desc, P, C, budget)
         fits = sorted((P[e] for e in keep if C[e] <= budget), reverse=True)
         assert full == sum(fits[:c.room(state)])
-        assert exhaustive_search(inst, keep, state, budget)[0] <= full, f
+        assert exhaustive_search(inst, Scope(state, tuple(keep), budget))[0] <= full, f
         # the early stop tells the same side of need, and below need it
         # is the bound itself
         need = rng.randint(0, full + 2)
@@ -98,7 +99,7 @@ def unpruned_two_approx(inst):
     best = None
     for f in walk_ids(inst, max_size=4):
         pool = [e for e in inst.ids if not f or P[e] <= min(P[x] for x in f)]
-        key = R.checked_key(inst, f, residual_tail(inst, f, pool))
+        key = R.checked_key(inst, f, residual_tail(inst, scope_of(inst, f, pool)))
         best = key if best is None else min(best, key)
     return best[1]
 
@@ -112,7 +113,8 @@ def unskipped_eptas(inst, eps):
                          max_size=int(1 / eps)))
     best = (0, ())
     for f in walk:
-        best = min(best, R.checked_key(inst, f, residual_tail(inst, f, low)))
+        tail = residual_tail(inst, scope_of(inst, f, low))
+        best = min(best, R.checked_key(inst, f, tail))
     return B.Solution.of(inst, best[1]), len(walk)
 
 
@@ -191,11 +193,24 @@ SCALE = [
 
 
 def counting_tails(monkeypatch, module):
-    """Count the residual solves a module makes from now on."""
+    """The prefixes whose residuals a module solves from now on."""
     calls = []
+    pins = []
     tail = module.residual_tail
-    monkeypatch.setattr(module, "residual_tail",
-                        lambda inst, f, *a: calls.append(f) or tail(inst, f, *a))
+    walker = module.iter_solutions
+
+    def walk_pins(*a, **k):
+        for item in walker(*a, **k):
+            pins.append(item[0])
+            yield item
+
+    def solve_scope(inst, scope, *a):
+        # the prefix just yielded is the one whose residual this is
+        calls.append(pins[-1])
+        return tail(inst, scope, *a)
+
+    monkeypatch.setattr(module, "iter_solutions", walk_pins)
+    monkeypatch.setattr(module, "residual_tail", solve_scope)
     return calls
 
 

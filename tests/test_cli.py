@@ -7,6 +7,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -477,3 +478,39 @@ def test_exact_prints_a_profit_past_the_str_digit_limit(tmp_path, capsys):
     assert sol["ids"] == [0, 1]
     assert sol["profit"] == "1" + "9" * 4299 + "8"
     assert sol["cost"] == "2"
+
+
+def _linear_bi(tmp_path, field):
+    """A two-element BI file: a linear matroid over the given field, whose
+    two columns are parallel, ∩ U(2)."""
+    data = {
+        "budget": "2",
+        "constraint": {
+            "type": "matroid_intersection",
+            "matroids": [
+                {"kind": "linear", "field": field, "columns": [[1], [1]]},
+                {"kind": "uniform", "rank": 2},
+            ],
+        },
+        "elements": [{"id": i, "profit": str(i + 1), "cost": "1"} for i in range(2)],
+    }
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("field,code", [
+    ("GF(2305843009213693951)", 0),         # 2**61 − 1, a prime
+    ("GF(2305843009213693953)", 2),         # 2**61 + 1, divisible by 3
+    ("GF(3317044064679887385961981)", 2),   # past the Miller–Rabin bound
+    ("GF(" + "9" * 5000 + ")", 2),          # past the int digit limit
+])
+def test_gf_field_orders_answer_at_once(field, code, tmp_path, capsys):
+    started = time.perf_counter()
+    got, out, err = run(capsys, ["exact", _linear_bi(tmp_path, field)])
+    assert time.perf_counter() - started < 1
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("input error: ")
+    else:
+        assert json.loads(out)["solution"]["ids"] == [1]

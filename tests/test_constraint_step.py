@@ -11,7 +11,8 @@ import random
 import pytest
 
 import bcopt as B
-from util import bi_pairs, reference_residual, walk_ids
+from bcopt.model import whole
+from util import bi_pairs, reference_residual, scope_of, walk_ids
 
 # not `import bcopt.repset`: the package's `repset` function shadows
 # the module as an attribute
@@ -113,27 +114,46 @@ def reference_two_approx(inst, solve):
 def test_two_approx_never_calls_the_solver_on_the_instance(name, inst, monkeypatch):
     solve = B.non_profitable_solve
     tail = L.residual_tail
+    walker = R.iter_solutions
     calls = []
     pins = []
+    scopes = []
+
+    def walk_pins(*a, **k):
+        for item in walker(*a, **k):
+            pins.append(item[0])
+            yield item
+
+    def solve_scope(inst, scope, *a):
+        # the prefix just yielded is the one whose residual this is
+        scopes.append((pins[-1], scope))
+        return tail(inst, scope, *a)
+
     monkeypatch.setattr(L, "non_profitable_solve",
                         lambda sub, *a: calls.append(sub) or solve(sub, *a))
-    monkeypatch.setattr(R, "residual_tail",
-                        lambda inst, f, *a: pins.append(f) or tail(inst, f, *a))
+    monkeypatch.setattr(R, "iter_solutions", walk_pins)
+    monkeypatch.setattr(R, "residual_tail", solve_scope)
     # a fresh copy: two_approx caches its result on the instance
     copy = B.BCInstance(inst.elements, inst.constraint, inst.budget)
     sol, alpha = B.two_approx(copy)
     assert sol == reference_two_approx(B.BCInstance(copy.elements, copy.constraint,
                                                     copy.budget), solve)
     assert alpha == sol.profit
-    # every prefix, the empty one included, is a residual solved in place
+    # every prefix, the empty one included, is a residual solved in place,
+    # on the scope of its threshold pool
     assert calls == []
+    P, C = copy.int_profit, copy.int_cost
+    for f, scope in scopes:
+        pool = [e for e in copy.ids if not f or P[e] <= min(P[x] for x in f)]
+        assert scope == scope_of(copy, f, pool), f
+    pins = [f for f, _ in scopes]
     assert pins[0] == ()
+    assert scopes[0][1] == whole(copy)
     # the solved prefixes come in walk order, and a prefix left out cannot
     # beat α: p(F) plus the bound over its threshold pool is below it
     walk = list(walk_ids(copy, max_size=4))
     it = iter(walk)
     assert all(f in it for f in pins)
-    P, C = copy.int_profit, copy.int_cost
     alpha_int = sum(P[e] for e in sol.ids)
     desc = sorted(copy.ids, key=lambda e: (-P[e], e))
     solved = set(pins)

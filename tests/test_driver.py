@@ -14,7 +14,7 @@ import bcopt as B
 from bcopt.errors import InputError
 from bcopt.lagrangian import residual_tail
 
-from util import opt_profit, walk_ids
+from util import opt_profit, scope_of, walk_ids
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -58,7 +58,7 @@ def test_eptas_run_collect(fig1):
     assert prefixes == [(), (0,), (1,)]
     low = B.low_profit_ids(fig1, HALF, run.alpha)
     for pinned, want in (((0,), (2,)), ((1,), (3,))):
-        tail = residual_tail(fig1, pinned, low)
+        tail = residual_tail(fig1, scope_of(fig1, pinned, low))
         assert tail == want
         assert B.Solution.of(fig1, pinned + tail).profit == Fraction(11)
     assert run.fallbacks == 0
@@ -152,7 +152,7 @@ def _broken_solver_under_optimize(module: str, call: str) -> str:
         inst = B.BCInstance(els, B.MatchingConstraint(g), 2)
         # a broken solver: every residual "solution" is the whole ground
         # set, over budget and not a matching
-        M.residual_tail = lambda inst, pinned, pool, *a, **k: inst.ids
+        M.residual_tail = lambda inst, scope, *a, **k: inst.ids
         try:
             {call}
         except AssertionError as exc:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import bcopt as B
+from bcopt.model import Scope, whole
 from bcopt.oracles import exhaustive_search
 from util import bi_pairs, combination_search, reference_exhaustive_search, walk_ids
 
@@ -91,17 +92,18 @@ def test_matches_every_combination(name, make):
     bs = budgets(inst)
     for pinned, pool, base in searches(inst, inst.n):
         want = combination_search(inst, pool, pinned, bs)
-        got = [exhaustive_search(inst, pool, base, b) for b in bs]
+        got = [exhaustive_search(inst, Scope(base, tuple(pool), b)) for b in bs]
         assert got == want, (pinned, pool)
 
 
-def counted(search, inst, pool, base, budget):
-    """search's result and the number of constraint steps it took."""
+def counted(search, inst, scope):
+    """search's result on the scope and the number of constraint steps
+    it took."""
     c = inst.constraint
     steps = []
     c.extend = lambda s, e, step=type(c).extend: steps.append(e) or step(c, s, e)
     try:
-        return search(inst, pool, base, budget), len(steps)
+        return search(inst, scope), len(steps)
     finally:
         del c.extend
 
@@ -115,8 +117,9 @@ def test_matches_the_suffix_bound(name, make):
     assert inst.n <= 28
     for pinned, pool, base in searches(inst, inst.n):
         for b in budgets(inst):
-            want, ref_steps = counted(reference_exhaustive_search, inst, pool, base, b)
-            got, steps = counted(exhaustive_search, inst, pool, base, b)
+            scope = Scope(base, tuple(pool), b)
+            want, ref_steps = counted(reference_exhaustive_search, inst, scope)
+            got, steps = counted(exhaustive_search, inst, scope)
             assert got == want, (pinned, pool, b)
             assert steps <= ref_steps, (pinned, pool, b)
 
@@ -125,9 +128,8 @@ def test_room_bound_cuts_what_the_suffix_bound_walks():
     """On BI pairs ∩ U(6) at half the total cost the room bound steps
     under a twentieth of the sets the suffix bound steps."""
     inst = bi_pairs(1, 24)
-    base = inst.constraint.state_of(())
-    b = budgets(inst)[-1]
-    got, steps = counted(exhaustive_search, inst, inst.ids, base, b)
-    want, ref_steps = counted(reference_exhaustive_search, inst, inst.ids, base, b)
+    scope = whole(inst)._replace(budget=budgets(inst)[-1])
+    got, steps = counted(exhaustive_search, inst, scope)
+    want, ref_steps = counted(reference_exhaustive_search, inst, scope)
     assert got == want
     assert steps * 20 < ref_steps, (steps, ref_steps)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import networkx as nx
@@ -564,3 +565,41 @@ def test_from_table_lists_the_empty_set():
     unlisted = B.ExplicitMatroid.from_table(range(2), [[0]])
     assert unlisted.independent_mask(0)
     assert listed == unlisted
+
+
+def test_prime_field_orders_are_decided_at_once():
+    """Field orders are tested by deterministic Miller–Rabin: trial
+    division up to √p did not return on 2**61 − 1 within seconds.
+    2**61 + 1 (divisible by 3) and the Carmichael number 561 are
+    composite, and so is 318665857834031151167461, a strong pseudoprime
+    to the twelve bases 2 … 37 that base 41 exposes; orders from the
+    bound on, where the thirteen bases no longer decide primality, are
+    refused whatever their size."""
+    p = 2**61 - 1
+    started = time.perf_counter()
+    assert B.LinearMatroid({0: (1,), 1: (p + 2,)}, field=p).columns[1] == (2,)
+    assert time.perf_counter() - started < 1
+    for composite in (2**61 + 1, 561, 4, 3215031751, 3825123056546413051,
+                      318665857834031151167461):
+        with pytest.raises(InputError, match="not prime"):
+            B.LinearMatroid({0: (1,)}, field=composite)
+    # the least strong pseudoprime to all thirteen bases, a prime past it,
+    # and an order whose decimal numeral str() refuses
+    for big in (3317044064679887385961981, 2**89 - 1, 10**5000):
+        with pytest.raises(InputError, match="too large"):
+            B.LinearMatroid({0: (1,)}, field=big)
+
+
+def test_is_prime_matches_trial_division():
+    from bcopt.matroids import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(2, 5000) if _is_prime(n)] == [
+        n for n in range(2, 5000) if trial(n)
+    ]
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(2, 10**9)
+        assert _is_prime(n) == trial(n), n

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import bcopt as B
 from bcopt.errors import DegenerateAlpha, InputError, InvariantError
 from bcopt.repset import checked_key
-from util import walk_ids
+from util import scope_of, walk_ids
 
 STRATEGIES = ("auto", "exhaustive", "lagrangian")
 
@@ -181,7 +182,7 @@ def test_residual_matching(fig1):
     # only c survives of the low-profit edges {c, d}
     assert c.survivors(c.state_of([0]), low) == [2]
     for strategy in STRATEGIES:
-        tail = B.residual_tail(fig1, (0,), low, strategy)
+        tail = B.residual_tail(fig1, scope_of(fig1, (0,), low), strategy)
         assert tail == (2,)
         assert B.feasible(fig1, set(tail) | {0})
 
@@ -194,7 +195,7 @@ def test_residual_shares_the_parent_tables(fig1, monkeypatch):
     # residuals are solved on fig1's own tables under every strategy;
     # the tail's profit and cost come from them
     for strategy in STRATEGIES:
-        tail = B.residual_tail(fig1, (0,), fig1.ids, strategy)
+        tail = B.residual_tail(fig1, scope_of(fig1, (0,), fig1.ids), strategy)
         assert tail == (2,)
         assert B.Solution.of(fig1, tail).profit == F(1)
     assert B.non_profitable_solve(fig1).ids == (0, 2)
@@ -217,7 +218,7 @@ def test_residual_keeps_parent_ids(fig2):
     assert c.extend(state, 1) is None
     assert c.extend(state, 2) is not None
     for strategy in STRATEGIES:
-        assert B.residual_tail(fig2, (0,), low, strategy) == (2,)
+        assert B.residual_tail(fig2, scope_of(fig2, (0,), low), strategy) == (2,)
 
 
 def test_residual_rejects_bad_pins(fig1):
@@ -259,3 +260,21 @@ def test_solution_ordering():
     assert c.key() < a.key()
     assert min([b, a, c], key=B.Solution.key) is c
     assert sorted([c, b, a], key=B.Solution.key) == [c, a, b]
+
+
+def test_profit_classes_at_small_epsilon(fig1):
+    """At ε = 1/2400, the core ε of solve --epsilon 1/300, the fresh
+    powers took 40 s over the 18,000 band edges; the running products
+    stop at fig1's least profit past the cut, about 7,400 edges in."""
+    eps, alpha = F(1, 2400), F(11)
+    B.class_count_of(eps)  # the ε counts are not what is timed
+    started = time.perf_counter()
+    cl = B.profit_classes(fig1, eps, alpha)
+    assert time.perf_counter() - started < 10
+    # each element in the band its profit falls in, checked by its two
+    # edges alone
+    classed = {e: r for r, members in cl.classes.items() for e in members}
+    assert sorted(classed) == [e for e in fig1.ids if fig1.profit[e] > eps * alpha]
+    for e, r in classed.items():
+        ratio = fig1.profit[e] / (2 * alpha)
+        assert (1 - eps) ** r < ratio <= (1 - eps) ** (r - 1)

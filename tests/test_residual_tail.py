@@ -21,7 +21,7 @@ from bcopt.graphs import Graph
 from bcopt.lagrangian import residual_tail
 from bcopt.matroids import Matroid
 from bcopt.model import BCInstance
-from util import bi_pairs, reference_residual, walk_ids
+from util import bi_pairs, reference_residual, scope_of, walk_ids
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
 
@@ -102,7 +102,8 @@ def test_residual_tail_matches_reference(name, inst, monkeypatch):
             )
         for strategy, cap in [(s, 24) for s in STRATEGIES] + [("exhaustive", 6)]:
             built = sum(counts.values())
-            got = outcome(lambda: residual_tail(inst, pinned, pool, strategy, cap))
+            scope = scope_of(inst, pinned, pool)
+            got = outcome(lambda: residual_tail(inst, scope, strategy, cap))
             # no branch builds a residual: every solve runs in place
             assert sum(counts.values()) == built
             want = outcome(lambda: reference(inst, pinned, pool, strategy, cap))
@@ -154,7 +155,7 @@ def test_lagrangian_tail_with_zero_cost_elements(name, inst):
         state = c.state_of(pinned)
         pool = [e for e in inst.ids if e not in pinned]
         dependent_zero += any(C[e] == 0 and c.extend(state, e) is None for e in pool)
-        got = residual_tail(inst, pinned, pool, "lagrangian")
+        got = residual_tail(inst, scope_of(inst, pinned, pool), "lagrangian")
         assert got == reference(inst, pinned, pool, "lagrangian", 24), pinned
         assert B.feasible(inst, set(pinned) | set(got))
     assert dependent_zero, "no zero-cost element dependent on its prefix"
@@ -197,7 +198,8 @@ def test_eptas_run_matches_reference(strategy, cap):
     for pinned, want, combined, fallback in records:
         assert fallback == (strategy == "exhaustive"
                             and len(c.survivors(c.state_of(pinned), low)) > cap)
-        tail = residual_tail(inst, pinned, low, "auto" if fallback else strategy, cap)
+        tail = residual_tail(inst, scope_of(inst, pinned, low),
+                             "auto" if fallback else strategy, cap)
         assert tail == want, pinned
         assert B.Solution.of(inst, set(pinned) | set(tail)) == combined
 
@@ -302,7 +304,8 @@ def residual_builds(monkeypatch, strategy, eps):
             m.setattr(D, "repset", lambda *a, **k: rep)
             counts = counting_builds(m)
             run = B.eptas_run(inst, eps, strategy=strategy, max_exhaustive=24)
-            solved = [residual_tail(inst, f, low, strategy, 24) for f in prefixes]
+            solved = [residual_tail(inst, scope_of(inst, f, low), strategy, 24)
+                      for f in prefixes]
         assert run.enumerated == len(prefixes) > 1
         tails.append(sum(1 for t in solved if t))
         total.update(counts)

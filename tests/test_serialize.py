@@ -244,3 +244,22 @@ def test_integer_inputs_round_trip():
         assert "true" not in text and "false" not in text
         assert B.instance_from_dict(json.loads(text)) == inst
     assert B.min_cost_basis(U2, [1, 1], limit=1) == {0}
+
+
+def test_gf_field_past_the_digit_limit_is_an_input_error():
+    """A GF(p) numeral past Python's int digit limit is refused as input,
+    not left to raise ValueError from int()."""
+    data = {
+        "budget": "1",
+        "constraint": {
+            "type": "matroid_intersection",
+            "matroids": [
+                {"kind": "linear", "field": "GF(" + "9" * 5000 + ")",
+                 "columns": [[1], [1]]},
+                {"kind": "uniform", "rank": 2},
+            ],
+        },
+        "elements": [{"id": i, "profit": "1", "cost": "1"} for i in range(2)],
+    }
+    with pytest.raises(InputError, match="too long"):
+        B.instance_from_dict(data)

@@ -106,7 +106,7 @@ def test_profit_classes_match_the_fraction_definition(name, make):
     inst = make()
     _, alpha = B.two_approx(inst)
     alphas = [a for a in (alpha, alpha / 3, F(7, 2), inst.max_profit) if a > 0]
-    for eps in (F(1, 2), F(1, 3), F(1, 5), F(1, 16)):
+    for eps in (F(1, 2), F(1, 3), F(1, 5), F(1, 8), F(1, 16), F(1, 24), F(1, 100)):
         for a in alphas:
             got = B.profit_classes(inst, eps, a).classes
             assert got == reference_profit_classes(inst, eps, a), (eps, a)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import bcopt as B
 from bcopt.errors import InputError
+from bcopt.model import Scope
 
 
 def walk_ids(inst, **kwargs):
@@ -292,12 +293,23 @@ def reference_residual(inst, pinned, pool):
     return sub
 
 
-def reference_exhaustive_search(inst, pool, base, budget):
+def scope_of(inst, pinned, pool):
+    """The `model.Scope` of the residual of pinned over an ascending
+    pool, built from the pinned ids: state_of(F), the pool's survivors
+    of it and β − c(F)."""
+    c = inst.constraint
+    state = c.state_of(pinned)
+    budget = inst.int_budget - sum(inst.int_cost[e] for e in pinned)
+    return Scope(state, tuple(c.survivors(state, pool)), budget)
+
+
+def reference_exhaustive_search(inst, scope):
     """Reference for `oracles.exhaustive_search` with the bound it had
-    before it read `room`: a depth-first walk of pool in ascending
-    lexicographic order that cuts a branch when its profit plus the sum
-    of every profit left in the pool cannot beat the incumbent (a
+    before it read `room`: a depth-first walk of the scope's ids in
+    ascending lexicographic order that cuts a branch when its profit plus
+    the sum of every profit left in the pool cannot beat the incumbent (a
     non-strict cut, so the first of equally good sets wins)."""
+    base, pool, budget = scope
     P = [inst.int_profit[e] for e in pool]
     C = [inst.int_cost[e] for e in pool]
     suffix = [0] * (len(pool) + 1)
@@ -367,6 +379,21 @@ def reference_profit_classes(inst, eps, alpha):
                 classes.setdefault(r, []).append(e.id)
                 break
     return {r: tuple(sorted(v)) for r, v in sorted(classes.items())}
+
+
+def reference_maximal_independent_sets(matroid):
+    """The maximal independent sets of a matroid, sorted, found from the
+    table of all 2**n masks: the independent ones that no single element
+    extends."""
+    ids = matroid.ground_list
+    n = len(ids)
+    indep = {m for m in range(1 << n)
+             if matroid.independent_mask(sum(1 << ids[b] for b in range(n) if m >> b & 1))}
+    return sorted(
+        [ids[b] for b in range(n) if m >> b & 1]
+        for m in indep
+        if not any(not m >> b & 1 and m | 1 << b in indep for b in range(n))
+    )
 
 
 def reference_rank_q(vectors):
